@@ -129,16 +129,6 @@ def _im2col(x, k, stride):
     return windows.reshape(n, c * k * k, ho * wo), ho, wo
 
 
-def _col2im(cols, n, c, k, hp, wp, ho, wo, stride):
-    # adjoint of _im2col: scatter-add columns back into the padded image
-    g6 = cols.reshape(n, c, k, k, ho, wo)
-    gx = np.zeros((n, c, hp, wp))
-    for ki in range(k):
-        for kj in range(k):
-            gx[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += g6[:, :, ki, kj]
-    return gx
-
-
 def conv2d(x, kernels, stride=1, padding=0):
     """2-D cross-correlation of [N,C,H,W] input with [J,C,k,k] kernels."""
     xd, kd = x.data, kernels.data
@@ -168,12 +158,17 @@ def conv2d(x, kernels, stride=1, padding=0):
 
     def vjp(g):
         go = g.reshape(n, j, ho * wo)
-        grad_w = np.tensordot(go, cols, axes=([0, 2], [0, 2])).reshape(kd.shape)
-        grad_cols = np.matmul(wmat.T, go)
-        gx = _col2im(grad_cols, n, c, k, hp, wp, ho, wo, stride)
-        if padding:
-            gx = gx[:, :, padding : hp - padding, padding : wp - padding]
-        return gx, grad_w
+        grad_w = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kd.shape)
+        # im2col's adjoint with no (N, C*k*k, P) buffer: one matmul per kernel
+        # offset. Each [C,J] block goes to BLAS transposed, as in wmat.T @ go,
+        # which keeps that product's summation order and so its exact bits.
+        w_offsets = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # [k,k,J,C]
+        gx = np.zeros((n, c, hp, wp))
+        for ki in range(k):
+            for kj in range(k):
+                view = gx[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
+                view += np.matmul(w_offsets[ki, kj].T, go).reshape(n, c, ho, wo)
+        return gx[:, :, padding : hp - padding, padding : wp - padding], grad_w
 
     return Tensor(out, parents=(x, kernels), vjp=vjp, op="conv2d")
 
@@ -195,34 +190,39 @@ def dense(x, weights, bias):
     return Tensor(out, parents=(x, weights, bias), vjp=vjp, op="dense")
 
 
-def max_pool2d(x, window=2, stride=None):
-    """Max pooling; window 2, stride 2 unless configured."""
-    stride = window if stride is None else stride
+def max_pool2d(x, window=2):
+    """Max pooling over non-overlapping window x window tiles; a ragged
+    bottom/right edge is cropped. Ties route the gradient to the first
+    maximum in row-major window order."""
     xd = x.data
     if xd.ndim != 4:
         raise ShapeMismatchError(f"max_pool2d expects [N,C,H,W], got {tuple(xd.shape)}")
     n, c, h, w = xd.shape
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
+    ho, wo = h // window, w // window
     if ho < 1 or wo < 1:
         raise ShapeMismatchError(
             f"max_pool2d output would be empty: input {tuple(xd.shape)}, window {window}"
         )
-    sn, sc, sh, sw = xd.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xd,
-        shape=(n, c, ho, wo, window, window),
-        strides=(sn, sc, stride * sh, stride * sw, sh, sw),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, ho, wo, window * window)
-    arg = flat.argmax(axis=-1)  # first max wins: deterministic ties
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    offsets = [(di, dj) for di in range(window) for dj in range(window)]
+
+    def tile(a, di, dj):
+        # the entries at offset (di, dj) of every window, as an [N,C,Ho,Wo] view
+        return a[:, :, di : di + window * ho : window, dj : dj + window * wo : window]
+
+    out = tile(xd, 0, 0).copy()
+    for di, dj in offsets[1:]:
+        np.maximum(out, tile(xd, di, dj), out=out)
 
     def vjp(g):
-        gx = np.zeros_like(xd)
-        ni, ci, hi, wi = np.indices((n, c, ho, wo))
-        np.add.at(gx, (ni, ci, hi * stride + arg // window, wi * stride + arg % window), g)
+        # Windows never overlap, so each input entry takes at most one value;
+        # g + 0.0 gives it the bits of 0.0 + g, -0.0 becoming 0.0.
+        g0, gx = g + 0.0, np.zeros_like(xd)
+        unclaimed = np.ones(out.shape, dtype=bool)
+        for di, dj in offsets[:-1]:
+            wins = (tile(xd, di, dj) == out) & unclaimed
+            unclaimed ^= wins
+            tile(gx, di, dj)[...] = np.where(wins, g0, 0.0)
+        tile(gx, *offsets[-1])[...] = np.where(unclaimed, g0, 0.0)
         return (gx,)
 
     return Tensor(out, parents=(x,), vjp=vjp, op="max_pool2d")

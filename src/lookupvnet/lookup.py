@@ -144,19 +144,19 @@ def lookup(images, tables):
     n, _, h, w = images.shape
 
     if tables.kind == "full":
-        u = tables.u
         indices = images.astype(np.int32)
-        out = np.empty((n, 3 * u, h, w))
-        for ch in range(3):
-            gathered = tables.tables[ch].data[indices[:, ch]]  # [N,H,W,u]
-            out[:, ch * u : (ch + 1) * u] = np.moveaxis(gathered, -1, 1)
     elif tables.kind == "compressed":
         indices = images.astype(np.int32) // tables.c
-        out = np.empty((n, 3, h, w))
-        for ch in range(3):
-            out[:, ch] = tables.tables[ch].data[indices[:, ch]]
     else:
         raise ValueError(f"unknown table kind {tables.kind!r}")
+
+    width = tables.output_channels // 3
+    out = np.empty((n, 3 * width, h, w))
+    for ch, table in enumerate(tables.tables):
+        columns = np.ascontiguousarray(table.data.reshape(-1, width).T)  # [width, rows]
+        for k in range(width):
+            # take() fills each output plane in place: no [N,H,W,u] temporary
+            np.take(columns[k], indices[:, ch], out=out[:, ch * width + k])
 
     def vjp(g):
         return lookup_backward(g, indices, tables)
@@ -172,18 +172,11 @@ def lookup_backward(upstream, indices, tables):
     channel-ch index is v; rows for colors absent from the batch stay zero.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
+    width = tables.output_channels // 3
     grads = []
-    if tables.kind == "full":
-        u = tables.u
-        for ch in range(3):
-            grad = np.zeros((256, u))
-            block = np.moveaxis(upstream[:, ch * u : (ch + 1) * u], 1, -1)  # [N,H,W,u]
-            np.add.at(grad, indices[:, ch], block)
-            grads.append(grad)
-    else:
-        rows = table_size(tables.c)
-        for ch in range(3):
-            grad = np.zeros(rows)
-            np.add.at(grad, indices[:, ch], upstream[:, ch])
-            grads.append(grad)
+    for ch, table in enumerate(tables.tables):
+        idx, rows = indices[:, ch].ravel(), table.data.shape[0]
+        planes = [np.bincount(idx, weights=upstream[:, ch * width + k].ravel(), minlength=rows)
+                  for k in range(width)]
+        grads.append(np.stack(planes, axis=-1).reshape(table.data.shape))
     return tuple(grads)

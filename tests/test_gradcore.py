@@ -3,6 +3,8 @@ mode against central finite differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lookupvnet import gradcore
 from lookupvnet.gradcore import (
@@ -38,6 +40,44 @@ def naive_conv2d(x, w, stride=1, padding=0):
                     patch = xp[ni, :, hi * stride : hi * stride + k, wi * stride : wi * stride + k]
                     out[ni, ji, hi, wi] = (patch * w[ji]).sum()
     return out
+
+
+def naive_conv2d_backward(x, w, g, stride=1, padding=0):
+    """Loop adjoint of naive_conv2d: (input gradient, kernel gradient)."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for ni, ji, hi, wi in np.ndindex(*g.shape):
+        rows = slice(hi * stride, hi * stride + k)
+        cols = slice(wi * stride, wi * stride + k)
+        gw[ji] += g[ni, ji, hi, wi] * xp[ni, :, rows, cols]
+        gxp[ni, :, rows, cols] += g[ni, ji, hi, wi] * w[ji]
+    return gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]], gw
+
+
+def naive_max_pool2d(x, g, window):
+    """Loop max pooling over non-overlapping windows, cropping any ragged
+    edge; the first maximum in row-major window order takes the gradient.
+    Returns (pooled values, input gradient for upstream g)."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // window, w // window))
+    gx = np.zeros_like(x)
+    for ni, ci, hi, wi in np.ndindex(*out.shape):
+        best = None
+        for di in range(window):
+            for dj in range(window):
+                pos = (ni, ci, hi * window + di, wi * window + dj)
+                if best is None or x[pos] > x[best]:
+                    best = pos
+        out[ni, ci, hi, wi] = x[best]
+        gx[best] += g[ni, ci, hi, wi]
+    return out, gx
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def naive_dense(x, w, b):
@@ -114,6 +154,32 @@ class TestConv2d:
         for param in (x, w):
             assert max_rel_error(grads[param], finite_diff_grad(loss_fn, param)) < 1e-6
 
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    def test_backward_matches_naive_oracle(self, stride, padding):
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(2, 3, 7, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        g = rng.normal(size=out.data.shape)
+        gx, gw = out.vjp(g)
+        want_gx, want_gw = naive_conv2d_backward(x, w, g, stride, padding)
+        assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
+        assert np.allclose(gx, want_gx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    def test_input_gradient_exact_on_integer_data(self, stride, padding):
+        # small integers keep every product and partial sum exact, so the
+        # input gradient must match the loop oracle bit for bit in any order
+        rng = np.random.default_rng(41)
+        x = rng.integers(-4, 5, size=(2, 3, 7, 6)).astype(np.float64)
+        w = rng.integers(-4, 5, size=(4, 3, 3, 3)).astype(np.float64)
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        g = rng.integers(-4, 5, size=out.data.shape).astype(np.float64)
+        gx, gw = out.vjp(g)
+        want_gx, want_gw = naive_conv2d_backward(x, w, g, stride, padding)
+        assert_same_bits(gx, want_gx)
+        assert np.array_equal(gw, want_gw)
+
 
 class TestDense:
     def test_identity(self):
@@ -166,6 +232,43 @@ class TestPoolAndRelu:
 
         grads = backward(loss_fn())
         assert max_rel_error(grads[x], finite_diff_grad(loss_fn, x)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, shape: np.maximum(rng.normal(size=shape), 0.0),  # relu'd zeros
+            lambda rng, shape: rng.integers(0, 2, size=shape).astype(np.float64),
+        ],
+        ids=["relu-zeros", "zero-one"],
+    )
+    @pytest.mark.parametrize("shape,window", [((3, 4, 8, 8), 2), ((2, 3, 13, 13), 2), ((2, 2, 9, 11), 3)])
+    def test_pool_matches_loop_oracle_on_ties(self, draw, shape, window):
+        rng = np.random.default_rng(43)
+        x = draw(rng, shape)
+        out = max_pool2d(Tensor(x), window=window)
+        g = rng.normal(size=out.data.shape)
+        want_out, want_gx = naive_max_pool2d(x, g, window)
+        assert_same_bits(out.data, want_out)
+        assert_same_bits(out.vjp(g)[0], want_gx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        window=st.integers(1, 4),
+        extra_h=st.integers(0, 9),
+        extra_w=st.integers(0, 9),
+        levels=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pool_property_matches_loop_oracle(self, n, c, window, extra_h, extra_w, levels, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, levels, size=(n, c, window + extra_h, window + extra_w)).astype(np.float64)
+        out = max_pool2d(Tensor(x), window=window)
+        g = rng.normal(size=out.data.shape)
+        want_out, want_gx = naive_max_pool2d(x, g, window)
+        assert_same_bits(out.data, want_out)
+        assert_same_bits(out.vjp(g)[0], want_gx)
 
     def test_relu_zeroes_negatives(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))

@@ -3,6 +3,8 @@ backward, and the adjointness/permutation/collapse properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lookupvnet.gradcore import backward, finite_diff_grad, max_rel_error, mul, sum_all
 from lookupvnet.lookup import (
@@ -156,7 +158,69 @@ class TestLookupForward:
         assert np.array_equal(lookup(recolored, swapped).values.data, baseline)
 
 
+def loop_lookup(images, tables):
+    """Pixel-by-pixel gather and scatter oracles for lookup/lookup_backward.
+
+    Returns (coded planes, scatter) where scatter(upstream) adds each
+    pixel's upstream value into its row, one pixel at a time in C order.
+    """
+    n, _, h, w = images.shape
+    width = tables.u if tables.kind == "full" else 1
+    rows = [t.data.reshape(t.data.shape[0], width) for t in tables.tables]
+    step = tables.c if tables.kind == "compressed" else 1
+    out = np.zeros((n, 3 * width, h, w))
+    for ni, ch, hi, wi in np.ndindex(n, 3, h, w):
+        out[ni, ch * width : (ch + 1) * width, hi, wi] = rows[ch][int(images[ni, ch, hi, wi]) // step]
+
+    def scatter(upstream):
+        grads = [np.zeros_like(r) for r in rows]
+        for ni, ch, hi, wi in np.ndindex(n, 3, h, w):
+            row = int(images[ni, ch, hi, wi]) // step
+            for k in range(width):
+                grads[ch][row, k] += upstream[ni, ch * width + k, hi, wi]
+        return [g.reshape(t.data.shape) for g, t in zip(grads, tables.tables)]
+
+    return out, scatter
+
+
+def check_against_loop_oracle(kind, value, images, seed):
+    rng = np.random.default_rng(seed)
+    tables = init_tables(kind, value, seed=seed)
+    result = lookup(images, tables)
+    upstream = rng.normal(size=result.values.data.shape)
+    want_out, scatter = loop_lookup(images, tables)
+    assert result.values.data.tobytes() == want_out.tobytes()
+    for got, want in zip(lookup_backward(upstream, result.indices, tables), scatter(upstream)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestLookupBackward:
+    @pytest.mark.parametrize(
+        "kind,value", [("full", 1), ("full", 4), ("compressed", 1), ("compressed", 16), ("compressed", 256)]
+    )
+    def test_matches_loop_oracle_bit_for_bit(self, kind, value):
+        rng = np.random.default_rng(12)
+        # few distinct colors, so rows accumulate many pixels
+        images = rng.choice(np.array([0, 1, 17, 128, 255], dtype=np.uint8), size=(3, 3, 7, 5))
+        check_against_loop_oracle(kind, value, images, seed=13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind_value=st.one_of(
+            st.tuples(st.just("full"), st.integers(1, 5)),
+            st.tuples(st.just("compressed"), st.integers(1, 256)),
+        ),
+        n=st.integers(1, 4),
+        h=st.integers(1, 6),
+        w=st.integers(1, 6),
+        colors=st.integers(1, 256),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_loop_oracle(self, kind_value, n, h, w, colors, seed):
+        rng = np.random.default_rng(seed)
+        images = rng.integers(0, colors, size=(n, 3, h, w)).astype(np.uint8)
+        check_against_loop_oracle(*kind_value, images, seed=seed)
+
     def test_single_pixel_single_occurrence(self):
         tables = init_tables("full", 1, seed=0)
         image = np.zeros((1, 3, 1, 1), dtype=np.uint8)
