@@ -114,6 +114,12 @@ def relu(x):
     return Tensor(np.where(mask, x.data, 0.0), parents=(x,), vjp=lambda g: (g * mask,), op="relu")
 
 
+# Upper bound on the im2col patches conv2d unrolls at once: half of a 4 MiB
+# per-core L2, and well under the 32 MiB ceiling of glibc's dynamic mmap
+# threshold, so freed blocks are reused from the heap, not mapped afresh.
+_BLOCK_BYTES = 2 << 20
+
+
 def _im2col(x, k, stride):
     # x: padded [N,C,H,W] -> [N, C*k*k, Ho*Wo]; logical axis order (C, ki, kj)
     n, c, h, w = x.shape
@@ -126,7 +132,7 @@ def _im2col(x, k, stride):
         strides=(sn, sc, sh, sw, stride * sh, stride * sw),
         writeable=False,
     )
-    return windows.reshape(n, c * k * k, ho * wo), ho, wo
+    return windows.reshape(n, c * k * k, ho * wo)
 
 
 def conv2d(x, kernels, stride=1, padding=0):
@@ -149,25 +155,37 @@ def conv2d(x, kernels, stride=1, padding=0):
         )
 
     xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
-    cols, ho, wo = _im2col(xp, k, stride)
+    # Unroll a few images at a time. Stacked matmuls make one BLAS call per
+    # image, so every block split gives the same bits as the whole batch.
+    per_block = max(1, _BLOCK_BYTES // (c * k * k * ho * wo * xp.itemsize))
+    blocks = [slice(i, min(i + per_block, n)) for i in range(0, n, per_block)]
     wmat = kd.reshape(j, c * k * k)
-    out = np.matmul(wmat, cols).reshape(n, j, ho, wo)
+    out = np.empty((n, j, ho * wo))
+    for b in blocks:
+        last_cols = _im2col(xp[b], k, stride)
+        np.matmul(wmat, last_cols, out=out[b])
+    out = out.reshape(n, j, ho, wo)
     _tally(n * ho * wo * j * (2 * k * k * c + 1))
 
     hp, wp = xp.shape[2], xp.shape[3]
 
     def vjp(g):
         go = g.reshape(n, j, ho * wo)
-        grad_w = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kd.shape)
         # im2col's adjoint with no (N, C*k*k, P) buffer: one matmul per kernel
         # offset. Each [C,J] block goes to BLAS transposed, as in wmat.T @ go,
         # which keeps that product's summation order and so its exact bits.
         w_offsets = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # [k,k,J,C]
         gx = np.zeros((n, c, hp, wp))
-        for ki in range(k):
-            for kj in range(k):
-                view = gx[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
-                view += np.matmul(w_offsets[ki, kj].T, go).reshape(n, c, ho, wo)
+        grad_w = np.empty((n, j, c * k * k))
+        for b in blocks:
+            # only the last block's patches were kept; rebuild the others
+            cols = last_cols if b is blocks[-1] else _im2col(xp[b], k, stride)
+            np.matmul(go[b], cols.transpose(0, 2, 1), out=grad_w[b])
+            for ki in range(k):
+                for kj in range(k):
+                    view = gx[b, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
+                    view += np.matmul(w_offsets[ki, kj].T, go[b]).reshape(view.shape)
+        grad_w = grad_w.sum(axis=0).reshape(kd.shape)
         return gx[:, :, padding : hp - padding, padding : wp - padding], grad_w
 
     return Tensor(out, parents=(x, kernels), vjp=vjp, op="conv2d")
@@ -325,8 +343,3 @@ def max_rel_error(approx, exact, floor=1e-3):
     exact = np.asarray(exact, dtype=np.float64)
     denom = np.maximum(np.abs(approx) + np.abs(exact), floor)
     return float(np.max(np.abs(approx - exact) / denom)) if approx.size else 0.0
-
-
-def assert_finite(array, what="tensor"):
-    if not np.all(np.isfinite(array)):
-        raise FloatingPointError(f"non-finite values in {what}")

@@ -1,6 +1,9 @@
 """Autodiff core: forward examples against independent oracles, reverse
 mode against central finite differences."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +182,68 @@ class TestConv2d:
         want_gx, want_gw = naive_conv2d_backward(x, w, g, stride, padding)
         assert_same_bits(gx, want_gx)
         assert np.array_equal(gw, want_gw)
+
+    @pytest.mark.parametrize(
+        "x_shape,j,stride,padding",
+        [((7, 12, 32, 32), 8, 1, 0), ((5, 5, 13, 11), 6, 2, 1)],
+        ids=["ragged-blocks", "stride2-pad1"],
+    )
+    def test_batch_equals_per_image_calls_bit_for_bit(self, x_shape, j, stride, padding):
+        # (7, 12, 32, 32) unrolls to more patches than one cache block holds,
+        # so the batch call splits into blocks with a ragged last one; each
+        # image must still see exactly the arithmetic of a call on it alone
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(j, x_shape[1], 3, 3))
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        g = rng.normal(size=out.data.shape)
+        gx, gw = out.vjp(g)
+        singles = [
+            conv2d(Tensor(x[i : i + 1]), Tensor(w), stride=stride, padding=padding) for i in range(len(x))
+        ]
+        single_grads = [s.vjp(g[i : i + 1]) for i, s in enumerate(singles)]
+        assert_same_bits(out.data, np.concatenate([s.data for s in singles]))
+        assert_same_bits(gx, np.concatenate([sgx for sgx, _ in single_grads]))
+        assert_same_bits(gw, functools.reduce(np.add, [sgw for _, sgw in single_grads]))
+
+    def test_memory_peak_stays_block_sized(self):
+        # u=4 conv0 at batch 64: a whole-batch im2col buffer alone is 50 MB
+        rng = np.random.default_rng(59)
+        x = Tensor(rng.normal(size=(64, 12, 32, 32)))
+        w = Tensor(rng.normal(size=(8, 12, 3, 3)))
+        g = rng.normal(size=(64, 8, 30, 30))
+        tracemalloc.start()
+        try:
+            conv2d(x, w).vjp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, f"conv2d forward + vjp peaked at {peak / 1e6:.1f} MB"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        j=st.integers(1, 3),
+        k=st.integers(1, 3),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        extra_h=st.integers(0, 5),
+        extra_w=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_loop_oracle(self, n, c, j, k, stride, padding, extra_h, extra_w, seed):
+        rng = np.random.default_rng(seed)
+        smallest = max(k - 2 * padding, 1)
+        x = rng.normal(size=(n, c, smallest + extra_h, smallest + extra_w))
+        w = rng.normal(size=(j, c, k, k))
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        assert np.allclose(out.data, naive_conv2d(x, w, stride, padding), rtol=0, atol=1e-12)
+        g = rng.normal(size=out.data.shape)
+        gx, gw = out.vjp(g)
+        want_gx, want_gw = naive_conv2d_backward(x, w, g, stride, padding)
+        assert np.allclose(gx, want_gx, rtol=0, atol=1e-12)
+        assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
 
 
 class TestDense:
