@@ -5,6 +5,10 @@ cross-correlation, affine layers, relu, max pooling, softmax cross
 entropy, a few elementwise helpers) plus a central-difference oracle
 for verifying gradients. All math is double precision; graphs are
 built dynamically and are single-threaded.
+
+Only gradients a learnable leaf reads are computed: ``requires_grad``
+flows forward from the leaves, backward calls no vjp of a node that needs
+no gradient, and a vjp returns ``None`` for a parent that needs none.
 """
 
 from __future__ import annotations
@@ -23,16 +27,17 @@ class Tensor:
 
     Leaves are created directly from data (``requires_grad=True`` for
     learnable parameters); interior nodes are created by the ops below
-    and carry a vector-Jacobian-product closure over their parents.
-    Data buffers are treated as immutable once a node has consumers.
+    and carry a vector-Jacobian-product closure over their parents. An
+    interior node requires a gradient exactly when one of its parents
+    does. Data buffers are treated as immutable once a node has consumers.
     """
 
     __slots__ = ("data", "requires_grad", "parents", "vjp", "op")
 
     def __init__(self, data, requires_grad=False, parents=(), vjp=None, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.parents = tuple(parents)
+        self.requires_grad = any(p.requires_grad for p in self.parents) if parents else bool(requires_grad)
         self.vjp = vjp
         self.op = op
 
@@ -136,7 +141,8 @@ def _im2col(x, k, stride):
 
 
 def conv2d(x, kernels, stride=1, padding=0):
-    """2-D cross-correlation of [N,C,H,W] input with [J,C,k,k] kernels."""
+    """2-D cross-correlation of [N,C,H,W] input with [J,C,k,k] kernels; the
+    vjp returns ``None`` for an input that needs no gradient."""
     xd, kd = x.data, kernels.data
     if xd.ndim != 4 or kd.ndim != 4 or kd.shape[2] != kd.shape[3] or xd.shape[1] != kd.shape[1]:
         raise ShapeMismatchError(
@@ -168,6 +174,7 @@ def conv2d(x, kernels, stride=1, padding=0):
     _tally(n * ho * wo * j * (2 * k * k * c + 1))
 
     hp, wp = xp.shape[2], xp.shape[3]
+    needs_gx = x.requires_grad
 
     def vjp(g):
         go = g.reshape(n, j, ho * wo)
@@ -175,17 +182,21 @@ def conv2d(x, kernels, stride=1, padding=0):
         # offset. Each [C,J] block goes to BLAS transposed, as in wmat.T @ go,
         # which keeps that product's summation order and so its exact bits.
         w_offsets = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # [k,k,J,C]
-        gx = np.zeros((n, c, hp, wp))
+        gx = np.zeros((n, c, hp, wp)) if needs_gx else None
         grad_w = np.empty((n, j, c * k * k))
         for b in blocks:
             # only the last block's patches were kept; rebuild the others
             cols = last_cols if b is blocks[-1] else _im2col(xp[b], k, stride)
             np.matmul(go[b], cols.transpose(0, 2, 1), out=grad_w[b])
+            if not needs_gx:
+                continue
             for ki in range(k):
                 for kj in range(k):
                     view = gx[b, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
                     view += np.matmul(w_offsets[ki, kj].T, go[b]).reshape(view.shape)
         grad_w = grad_w.sum(axis=0).reshape(kd.shape)
+        if not needs_gx:
+            return None, grad_w
         return gx[:, :, padding : hp - padding, padding : wp - padding], grad_w
 
     return Tensor(out, parents=(x, kernels), vjp=vjp, op="conv2d")
@@ -279,10 +290,13 @@ def backward(loss):
 
     Returns a map {leaf Tensor -> gradient array}; a parameter used along
     several paths receives the sum of all path gradients. Leaves that the
-    loss does not depend on are absent from the map.
+    loss does not depend on are absent from the map. The walk never enters
+    a node that needs no gradient, so no vjp computes one nothing reads.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar root, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        return {}
 
     topo, visited = [], set()
     stack = [(loss, False)]
@@ -296,23 +310,21 @@ def backward(loss):
         visited.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in visited:
+            if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
+    # every node on the walk needs a gradient and receives one
     grads = {id(loss): np.ones_like(loss.data)}
     leaf_grads = {}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
+        g = grads.pop(id(node))
+        if not node.parents:
+            leaf_grads[node] = g
             continue
-        if node.parents:
-            for parent, pg in zip(node.parents, node.vjp(g)):
-                if pg is None:
-                    continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if parent.requires_grad:
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
-        elif node.requires_grad:
-            leaf_grads[node] = g
     return leaf_grads
 
 

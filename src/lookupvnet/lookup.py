@@ -127,6 +127,10 @@ def _as_batch(images):
     if images.ndim != 4 or images.shape[1] != 3:
         raise ValueError(f"expected byte images [N,3,H,W] or [3,H,W], got {images.shape}")
     if images.dtype != np.uint8:
+        bad = np.flatnonzero(~np.isfinite(images) | (images != np.round(images)))
+        if bad.size:
+            pos = tuple(int(i) for i in np.unravel_index(bad[0], images.shape))
+            raise ValueError(f"pixel {images[pos]} at {pos} is not a whole byte value")
         if images.min() < 0 or images.max() > 255:
             raise ValueError("pixel values outside byte range 0..255")
         images = images.astype(np.uint8)

@@ -9,6 +9,7 @@ Also owns the binary checkpoint format and the metrics CSV log.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -116,6 +117,8 @@ def _trainable(model, stage, freeze_tables):
 def _batch_step(model, stage, images, labels, plan, optim, lr, where):
     """Forward, joint backward, one optimizer step; returns (loss, hits)."""
     coded = stage.apply(images)
+    if plan.freeze_tables:  # a constant input: no table scatter, no conv0 input gradient
+        coded = Tensor(coded.data)
     logits = network.forward(model, coded)
     loss = softmax_cross_entropy(logits, labels)
     loss_value = float(loss.data)
@@ -297,19 +300,33 @@ def read_checkpoint(path):
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
+
+    def need(offset, size, what):
+        if offset + size > len(blob):
+            raise ValueError(
+                f"{path}: truncated checkpoint: {what} needs {size} bytes at byte offset {offset}, "
+                f"but the file ends at {len(blob)}"
+            )
+
+    need(4, 1, "the version byte")
     if blob[4] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {blob[4]}")
     sections, offset = {}, 5
     while offset < len(blob):
+        need(offset, 2, f"the name length of section #{len(sections)}")
         (name_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
+        need(offset, name_len, f"the name of section #{len(sections)}")
         name = blob[offset : offset + name_len].decode("utf-8")
         offset += name_len
+        need(offset, 1, f"the rank of section {name!r}")
         rank = blob[offset]
         offset += 1
+        need(offset, 4 * rank, f"the shape of section {name!r}")
         shape = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
         offset += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
+        count = math.prod(shape)  # Python ints: a corrupt shape cannot wrap around
+        need(offset, 8 * count, f"the payload of section {name!r}")
         array = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += 8 * count
         sections[name] = array.astype(np.float64)

@@ -63,6 +63,18 @@ class TestTrain:
         assert code == 0
         assert train_out.strip().splitlines()[-1] == eval_out.strip()
 
+    def test_truncated_checkpoint_exits_2_naming_the_file(self, tmp_path, capsys):
+        code, _, _ = run(capsys, *train_args(tmp_path / "run", "--epochs", "1"))
+        assert code == 0
+        path = tmp_path / "run" / "checkpoint.lvnc"
+        path.write_bytes(path.read_bytes()[:-3])
+        code, _, err = run(
+            capsys, "eval", "--checkpoint", str(path), "--dataset", "synthetic:separable",
+            "--classes", "2", "--per-class", "16", "--image-size", "8",
+        )
+        assert code == 2
+        assert str(path) in err and "truncated" in err
+
     def test_identical_seeds_give_identical_checkpoints(self, tmp_path, capsys):
         run(capsys, *train_args(tmp_path / "a"))
         run(capsys, *train_args(tmp_path / "b"))

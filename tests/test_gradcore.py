@@ -162,7 +162,7 @@ class TestConv2d:
         rng = np.random.default_rng(37)
         x = rng.normal(size=(2, 3, 7, 6))
         w = rng.normal(size=(4, 3, 3, 3))
-        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, padding=padding)
         g = rng.normal(size=out.data.shape)
         gx, gw = out.vjp(g)
         want_gx, want_gw = naive_conv2d_backward(x, w, g, stride, padding)
@@ -176,7 +176,7 @@ class TestConv2d:
         rng = np.random.default_rng(41)
         x = rng.integers(-4, 5, size=(2, 3, 7, 6)).astype(np.float64)
         w = rng.integers(-4, 5, size=(4, 3, 3, 3)).astype(np.float64)
-        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, padding=padding)
         g = rng.integers(-4, 5, size=out.data.shape).astype(np.float64)
         gx, gw = out.vjp(g)
         want_gx, want_gw = naive_conv2d_backward(x, w, g, stride, padding)
@@ -195,11 +195,12 @@ class TestConv2d:
         rng = np.random.default_rng(53)
         x = rng.normal(size=x_shape)
         w = rng.normal(size=(j, x_shape[1], 3, 3))
-        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, padding=padding)
         g = rng.normal(size=out.data.shape)
         gx, gw = out.vjp(g)
         singles = [
-            conv2d(Tensor(x[i : i + 1]), Tensor(w), stride=stride, padding=padding) for i in range(len(x))
+            conv2d(Tensor(x[i : i + 1], requires_grad=True), Tensor(w), stride=stride, padding=padding)
+            for i in range(len(x))
         ]
         single_grads = [s.vjp(g[i : i + 1]) for i, s in enumerate(singles)]
         assert_same_bits(out.data, np.concatenate([s.data for s in singles]))
@@ -209,7 +210,7 @@ class TestConv2d:
     def test_memory_peak_stays_block_sized(self):
         # u=4 conv0 at batch 64: a whole-batch im2col buffer alone is 50 MB
         rng = np.random.default_rng(59)
-        x = Tensor(rng.normal(size=(64, 12, 32, 32)))
+        x = Tensor(rng.normal(size=(64, 12, 32, 32)), requires_grad=True)
         w = Tensor(rng.normal(size=(8, 12, 3, 3)))
         g = rng.normal(size=(64, 8, 30, 30))
         tracemalloc.start()
@@ -237,7 +238,7 @@ class TestConv2d:
         smallest = max(k - 2 * padding, 1)
         x = rng.normal(size=(n, c, smallest + extra_h, smallest + extra_w))
         w = rng.normal(size=(j, c, k, k))
-        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, padding=padding)
         assert np.allclose(out.data, naive_conv2d(x, w, stride, padding), rtol=0, atol=1e-12)
         g = rng.normal(size=out.data.shape)
         gx, gw = out.vjp(g)
@@ -421,6 +422,125 @@ class TestBackward:
         loss_b, grad_b = run()
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
+
+
+def reference_backward(loss):
+    """Every vjp on the tape, called in full; constants' gradients dropped."""
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for parent in node.parents:
+                visit(parent)
+            order.append(node)
+
+    visit(loss)
+    grads, leaf_grads = {id(loss): np.ones_like(loss.data)}, {}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if not node.parents:
+            if node.requires_grad:
+                leaf_grads[node] = g
+            continue
+        for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is not None:
+                grads[id(parent)] = pg if id(parent) not in grads else grads[id(parent)] + pg
+    return leaf_grads
+
+
+class TestNeedsGrad:
+    """requires_grad flows forward; backward computes no gradient that no
+    learnable leaf reads."""
+
+    @pytest.mark.parametrize(
+        "x_shape,j,stride,padding",
+        [((64, 3, 32, 32), 8, 1, 0), ((5, 5, 13, 11), 6, 2, 1)],
+        ids=["baseline-conv0", "stride2-pad1"],
+    )
+    def test_conv_vjp_skips_a_constant_input(self, x_shape, j, stride, padding):
+        # (64, 3, 32, 32) spans several cache blocks, as the baseline's conv0
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=x_shape)
+        w = Tensor(rng.normal(size=(j, x_shape[1], 3, 3)), requires_grad=True)
+        constant = conv2d(Tensor(x), w, stride=stride, padding=padding)
+        learnable = conv2d(Tensor(x, requires_grad=True), w, stride=stride, padding=padding)
+        g = rng.normal(size=constant.data.shape)
+        gx, gw = constant.vjp(g)
+        want_gx, want_gw = learnable.vjp(g)
+        assert gx is None
+        assert want_gx.shape == x_shape
+        assert_same_bits(gw, want_gw)
+
+    @pytest.mark.parametrize(
+        "op,shapes",
+        [
+            (add, [(2, 3), (2, 3)]),
+            (mul, [(2, 3), (2, 3)]),
+            (sum_all, [(2, 3)]),
+            (lambda x: reshape(x, (6,)), [(2, 3)]),
+            (relu, [(2, 3)]),
+            (max_pool2d, [(1, 2, 4, 4)]),
+            (conv2d, [(1, 2, 5, 5), (3, 2, 3, 3)]),
+            (dense, [(2, 3), (3, 4), (4,)]),
+            (lambda z: softmax_cross_entropy(z, np.array([0, 2])), [(2, 3)]),
+        ],
+        ids=["add", "mul", "sum", "reshape", "relu", "pool", "conv", "dense", "softmax_ce"],
+    )
+    def test_output_needs_grad_exactly_when_a_parent_does(self, op, shapes):
+        rng = np.random.default_rng(67)
+        for flags in np.ndindex(*(2,) * len(shapes)):
+            parents = [Tensor(rng.normal(size=s), requires_grad=bool(f)) for s, f in zip(shapes, flags)]
+            out = op(*parents)
+            assert out.requires_grad == any(flags), flags
+
+    def test_backward_calls_no_vjp_without_a_learnable_ancestor(self):
+        rng = np.random.default_rng(71)
+        w_conv = Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.5, requires_grad=True)
+        w_fc = Tensor(rng.normal(size=(16, 3)) * 0.5, requires_grad=True)
+        b_fc = Tensor(np.zeros(3), requires_grad=True)
+        a, b = rng.normal(size=(2, 4, 3, 6, 6))
+        labels = rng.integers(0, 3, size=4)
+
+        def build():
+            # a constant pre-processing chain (mul, relu) feeds the conv net
+            x = relu(mul(Tensor(a), Tensor(b)))
+            h = reshape(max_pool2d(relu(conv2d(x, w_conv))), (4, -1))
+            return softmax_cross_entropy(dense(h, w_fc, b_fc), labels)
+
+        def record(node, calls):
+            inner = node.vjp
+
+            def vjp(g):
+                calls.append(node)
+                return inner(g)
+
+            node.vjp = vjp
+
+        loss, calls, nodes = build(), [], []
+        stack = [loss]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.parents)
+        for node in nodes:
+            if node.parents:
+                record(node, calls)
+        constant_ops = [node.op for node in nodes if node.parents and not node.requires_grad]
+        assert sorted(constant_ops) == ["mul", "relu"]
+
+        grads = backward(loss)
+        assert calls and all(node.requires_grad for node in calls)
+        assert [node.op for node in calls].count("relu") == 1  # the conv's relu only
+        want = reference_backward(build())
+        assert grads.keys() == want.keys() == {w_conv, w_fc, b_fc}
+        for leaf in want:
+            assert_same_bits(grads[leaf], want[leaf])
+
+    def test_constant_root_has_no_gradients(self):
+        assert backward(sum_all(Tensor(np.ones(3)))) == {}
 
 
 class TestFiniteDiff:

@@ -140,6 +140,20 @@ class TestLookupForward:
         with pytest.raises(ValueError):
             lookup(np.full((3, 2, 2), 300, dtype=np.int32), tables)
 
+    @pytest.mark.parametrize("bad", [3.7, np.nan, np.inf, -np.inf], ids=["fraction", "nan", "inf", "-inf"])
+    def test_non_integral_or_non_finite_pixels_rejected(self, bad):
+        tables = init_tables("full", 1, seed=0)
+        images = np.full((2, 3, 2, 2), 7.0)
+        images[1, 2, 0, 1] = bad
+        with pytest.raises(ValueError, match=r"\(1, 2, 0, 1\)"):
+            lookup(images, tables)
+
+    def test_whole_float_pixels_match_bytes(self):
+        tables = init_tables("full", 2, seed=0)
+        images = np.random.default_rng(3).integers(0, 256, size=(2, 3, 4, 4))
+        want = lookup(images.astype(np.uint8), tables).values.data
+        assert np.array_equal(lookup(images.astype(np.float64), tables).values.data, want)
+
     def test_permutation_consistency(self):
         """Swapping two color rows and recoloring the image is a no-op."""
         rng = np.random.default_rng(9)

@@ -1,6 +1,9 @@
 """Optimizer rule, the three training strategies, evaluation, the
 checkpoint format, and the metrics log."""
 
+import struct
+import sys
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,23 @@ class TestTrainSingle:
         train_single(model, tables, data, plan, OptimState(lr=0.05), timer=FIXED_CLOCK)
         for saved, tensor in zip(before, tables.tables):
             assert np.array_equal(saved, tensor.data)
+
+    @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "learned"])
+    def test_table_scatter_runs_only_for_learned_tables(self, freeze, monkeypatch):
+        # the package's `lookup` attribute is the function, so reach the module
+        lookup_module = sys.modules["lookupvnet.lookup"]
+        scatter, calls = lookup_module.lookup_backward, []
+
+        def counted(*args):
+            calls.append(args)
+            return scatter(*args)
+
+        monkeypatch.setattr(lookup_module, "lookup_backward", counted)
+        model, tables = tiny_setup(seed=2)
+        data = make_synthetic("separable", 8, 2, 8, 8, seed=2)
+        plan = TrainPlan(epochs=1, batch_size=4, seed=2, freeze_tables=freeze)
+        train_single(model, tables, data, plan, OptimState(lr=0.05), timer=FIXED_CLOCK)
+        assert len(calls) == (0 if freeze else 4)
 
     def test_joint_update_touches_exactly_batch_colors(self):
         model, tables = tiny_setup(seed=3)
@@ -384,6 +404,39 @@ class TestCheckpoint:
         path.write_bytes(b"LVNC\x09")
         with pytest.raises(ValueError, match="version"):
             read_checkpoint(path)
+
+    def test_truncated_file_names_path_section_and_offset(self, tmp_path):
+        path = tmp_path / "ck.lvnc"
+        write_checkpoint(path, {"alpha": np.arange(6, dtype=np.float64).reshape(2, 3), "beta": np.ones(4)})
+        blob = path.read_bytes()
+        # alpha's payload starts at 5 (magic, version) + 2 + 5 (name) + 1 (rank) + 8 (shape)
+        # = 21 and takes 48 bytes; beta's starts at 69 + 2 + 4 + 1 + 4 = 80
+        for cut, section, offset in [(len(blob) - 1, "beta", 80), (30, "alpha", 21), (4, None, 4)]:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError) as err:
+                read_checkpoint(path)
+            message = str(err.value)
+            assert str(path) in message and f"offset {offset}" in message
+            assert section is None or repr(section) in message
+
+    def test_oversized_shape_is_reported_not_wrapped(self, tmp_path):
+        # four dims of 2**32 - 1 wrap to a negative int64 element count
+        path = tmp_path / "ck.lvnc"
+        header = struct.pack("<H", 1) + b"w" + struct.pack("<B4I", 4, *(4 * [2**32 - 1]))
+        path.write_bytes(b"LVNC\x01" + header + bytes(16))
+        with pytest.raises(ValueError, match=r"payload of section 'w'.*offset 25"):
+            read_checkpoint(path)
+
+    def test_every_truncation_fails_with_a_value_error(self, tmp_path):
+        path = tmp_path / "ck.lvnc"
+        write_checkpoint(path, {"a/b": np.ones((2, 2)), "s": np.array(3.0)})
+        blob = path.read_bytes()
+        # a cut after the header or after "a/b" (5 + 2 + 3 + 1 + 8 + 32 bytes)
+        # leaves a whole, shorter checkpoint
+        for cut in sorted(set(range(5, len(blob))) - {5, 51}):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                read_checkpoint(path)
 
     def test_model_and_stage_restore_reproduce_accuracy(self, tmp_path):
         model, tables = tiny_setup(seed=24)
