@@ -104,6 +104,8 @@ def balanced_subset(dataset, per_class, seed):
 
 def save_image_set(dataset, path):
     """Write the binary record layout plus a text sidecar (K, H, W, count)."""
+    if dataset.class_count > 256:
+        raise ValueError(f"{path}: {dataset.class_count} classes do not fit the one-byte label field")
     m = len(dataset)
     flat = dataset.images.reshape(m, -1)
     records = np.empty((m, 1 + flat.shape[1]), dtype=np.uint8)
@@ -119,11 +121,19 @@ def save_image_set(dataset, path):
 
 def load_image_set(path):
     """Read a set written by save_image_set."""
-    meta = {}
-    with open(str(path) + ".meta") as fh:
-        for line in fh:
+    meta_path, meta = str(path) + ".meta", {}
+    with open(meta_path) as fh:
+        for line_no, line in enumerate(fh, 1):
             key, _, value = line.strip().partition("=")
-            meta[key] = int(value)
+            try:
+                meta[key] = int(value)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{meta_path}:{line_no}: expected key=integer, got {line.strip()!r}"
+                ) from None
+    for key in ("classes", "height", "width", "count"):
+        if key not in meta:
+            raise DatasetFormatError(f"{meta_path}: missing key {key!r}")
     record = 1 + 3 * meta["height"] * meta["width"]
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size != record * meta["count"]:

@@ -39,7 +39,7 @@ class ModelConfig:
 
 
 class Model:
-    """Ordered conv/relu/pool blocks plus a two-layer classifier head."""
+    """Ordered conv/pool/relu blocks plus a two-layer classifier head."""
 
     def __init__(self, config, params):
         self.config = config
@@ -100,7 +100,17 @@ def build_model(config):
 
 
 def forward(model, x):
-    """Logits [N,K] for an encoded input tensor; softmax lives in the loss."""
+    """Logits [N,K] for an encoded input tensor; softmax lives in the loss.
+
+    A pooled block applies relu after the max pool, so relu reads only
+    1/window² of the conv output, a quarter for 2x2 windows. Relu is
+    monotone, so this gives the bits of relu-then-pool, and the same
+    gradients up to the sign of a zero. The one exception is a pool
+    window holding NaN and a positive value: it gives 0.0 here, where
+    relu-then-pool gives the positive value. NaN activations only come
+    from non-finite parameters, and the trainer stops a run at the end
+    of the epoch that produced one.
+    """
     cfg = model.config
     if x.data.ndim != 4 or x.data.shape[1] != cfg.input_channels:
         raise gradcore.ShapeMismatchError(
@@ -109,9 +119,9 @@ def forward(model, x):
     h = x
     for i, block in enumerate(cfg.conv_blocks):
         h = gradcore.conv2d(h, model.params[f"conv{i}.w"], stride=block.stride)
-        h = gradcore.relu(h)
         if block.pool:
             h = gradcore.max_pool2d(h, window=cfg.pool_window)
+        h = gradcore.relu(h)
     n = h.data.shape[0]
     h = gradcore.reshape(h, (n, -1))
     h = gradcore.relu(gradcore.dense(h, model.params["hidden.w"], model.params["hidden.b"]))

@@ -22,7 +22,8 @@ from .gradcore import Tensor, backward, softmax_cross_entropy
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised by the NaN watchdog with a step-level diagnostic."""
+    """Raised by the watchdog: a non-finite train loss names its step, a
+    non-finite parameter or test loss the epoch that produced it."""
 
 
 @dataclass
@@ -141,6 +142,23 @@ def _eval_loss_acc(model, stage, dataset, batch_size=256):
     return total_loss / len(dataset), hits / len(dataset)
 
 
+def _end_epoch(model, stage, test_set, freeze_tables, where):
+    """Test loss and accuracy after an epoch, NaN without a test set.
+
+    Raises TrainingDiverged on a non-finite trainable parameter or test
+    loss: a run can keep a finite train loss while its weights blow up.
+    """
+    for name, tensor in _trainable(model, stage, freeze_tables).items():
+        if not np.all(np.isfinite(tensor.data)):
+            raise TrainingDiverged(f"non-finite parameter {name} after {where}; lower the learning rate")
+    if test_set is None:
+        return float("nan"), float("nan")
+    test_loss, test_acc = _eval_loss_acc(model, stage, test_set)
+    if not np.isfinite(test_loss):
+        raise TrainingDiverged(f"test loss {test_loss} after {where}; lower the learning rate")
+    return test_loss, test_acc
+
+
 def evaluate(model, stage, dataset, batch_size=256):
     """Argmax accuracy over the single unaugmented view of each image."""
     return _eval_loss_acc(model, stage, dataset, batch_size)[1]
@@ -165,9 +183,7 @@ def train_single(model, stage, train_set, plan, optim, test_set=None, timer=time
             loss_sum += loss * len(labels)
             hits += batch_hits
             seen += len(labels)
-        test_loss, test_acc = (
-            _eval_loss_acc(model, stage, test_set) if test_set is not None else (float("nan"), float("nan"))
-        )
+        test_loss, test_acc = _end_epoch(model, stage, test_set, plan.freeze_tables, f"epoch {epoch}")
         metrics.rows.append(
             EpochRow(epoch, loss_sum / seen, hits / seen, test_loss, test_acc, timer() - start)
         )
@@ -214,10 +230,8 @@ def _alternating(model_f, model_g, tables, streams, plan, optim_f, optim_g, test
         elapsed = timer() - start
         for i, (name, active_model, _, metric) in enumerate(sides):
             loss_sum, hits, seen = totals[name]
-            test_loss, test_acc = (
-                _eval_loss_acc(active_model, tables, test_sets[i])
-                if test_sets[i] is not None
-                else (float("nan"), float("nan"))
+            test_loss, test_acc = _end_epoch(
+                active_model, tables, test_sets[i], plan.freeze_tables, f"epoch {epoch} net {name}"
             )
             metric.rows.append(
                 EpochRow(
@@ -410,8 +424,15 @@ def save_checkpoint(path, model, stage, optim=None, rng=None):
     write_checkpoint(path, checkpoint_sections(model, stage, optim, rng))
 
 
+def _section(sections, name):
+    # a checkpoint cut at a section boundary still parses, so check here
+    if name not in sections:
+        raise ValueError(f"checkpoint has no section {name!r}")
+    return sections[name]
+
+
 def restore_model(sections):
-    meta = [int(v) for v in sections["meta/model"]]
+    meta = [int(v) for v in _section(sections, "meta/model")]
     n_blocks = meta[7]
     blocks = []
     for i in range(n_blocks):
@@ -428,26 +449,25 @@ def restore_model(sections):
     )
     model = network.build_model(cfg)
     for name in list(model.params):
-        model.params[name] = Tensor(sections[f"model/{name}"].copy(), requires_grad=True, op=name)
+        model.params[name] = Tensor(_section(sections, f"model/{name}").copy(), requires_grad=True, op=name)
     return model
 
 
 def restore_stage(sections):
     from .lookup import CompressedLookupTables, FullLookupTables
 
-    meta = sections["meta/stage"]
+    meta = _section(sections, "meta/stage")
     code = float(meta[0])
     if code == _STAGE_CODES["standardize"]:
         per_image = bool(meta[1])
         eps = float(meta[2])
         if per_image:
             return network.StandardizeStage(per_image=True, eps=eps)
-        stats = network.ChannelStats(sections["stage/mean"], sections["stage/std"], eps=eps)
+        mean, std = _section(sections, "stage/mean"), _section(sections, "stage/std")
+        stats = network.ChannelStats(mean, std, eps=eps)
         return network.StandardizeStage(stats=stats, eps=eps)
-    if code == _STAGE_CODES["full"]:
-        u = int(meta[1])
-        return FullLookupTables(u, [sections[f"tables/{ch}"].copy() for ch in ("r", "g", "b")])
-    if code == _STAGE_CODES["compressed"]:
-        c = int(meta[1])
-        return CompressedLookupTables(c, [sections[f"tables/{ch}"].copy() for ch in ("r", "g", "b")])
+    if code in (_STAGE_CODES["full"], _STAGE_CODES["compressed"]):
+        tables = [_section(sections, f"tables/{ch}").copy() for ch in ("r", "g", "b")]
+        kind = FullLookupTables if code == _STAGE_CODES["full"] else CompressedLookupTables
+        return kind(int(meta[1]), tables)
     raise ValueError(f"unknown stage code {code}")

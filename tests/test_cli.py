@@ -1,7 +1,7 @@
 """Command-line surface: flags, outputs, exit codes, determinism."""
 
-from lookupvnet import cli, gradcore
-from lookupvnet.trainer import read_checkpoint
+from lookupvnet import cli, data, gradcore
+from lookupvnet.trainer import read_checkpoint, write_checkpoint
 
 
 def run(capsys, *argv):
@@ -74,6 +74,30 @@ class TestTrain:
         )
         assert code == 2
         assert str(path) in err and "truncated" in err
+
+    def test_huge_learning_rate_exits_2_naming_the_epoch(self, tmp_path, capsys):
+        # every train loss stays finite; epoch 1's test loss is nan
+        code, out, err = run(
+            capsys, "train", "--classes", "2", "--per-class", "16", "--image-size", "8",
+            "--filters", "8", "--epochs", "2", "--lr", "1e30", "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert "final test accuracy" not in out
+        assert "test loss nan after epoch 1" in err
+
+    def test_missing_checkpoint_section_exits_2_naming_it(self, tmp_path, capsys):
+        code, _, _ = run(capsys, *train_args(tmp_path / "run", "--epochs", "1"))
+        assert code == 0
+        path = tmp_path / "run" / "checkpoint.lvnc"
+        sections = read_checkpoint(path)
+        # a cut at a section boundary still parses as a whole, shorter file
+        write_checkpoint(path, {k: sections[k] for k in ("meta/model", "meta/stage", "model/conv0.w")})
+        code, _, err = run(
+            capsys, "eval", "--checkpoint", str(path), "--dataset", "synthetic:separable",
+            "--classes", "2", "--per-class", "16", "--image-size", "8",
+        )
+        assert code == 2
+        assert "'model/hidden.w'" in err
 
     def test_identical_seeds_give_identical_checkpoints(self, tmp_path, capsys):
         run(capsys, *train_args(tmp_path / "a"))
@@ -243,3 +267,15 @@ class TestDatasetSpecs:
         )
         assert code == 0
         assert "final test accuracy:" in out
+
+    def test_file_spec_with_missing_meta_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "set.bin"
+        data.save_image_set(data.make_synthetic("separable", 4, 2, 8, 8, seed=0), path)
+        meta = tmp_path / "set.bin.meta"
+        meta.write_text(meta.read_text().replace("height=8\n", ""))
+        code, _, err = run(
+            capsys, "train", "--dataset", f"file:{path}", "--epochs", "1",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert str(meta) in err and "'height'" in err

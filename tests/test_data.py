@@ -7,6 +7,7 @@ from lookupvnet.data import (
     CIFAR10_RECORD,
     AugmentSpec,
     DatasetFormatError,
+    LabeledImageSet,
     augment,
     augment_batch,
     balanced_subset,
@@ -78,6 +79,38 @@ class TestRoundTrip:
             fh.write(b"\x00")
         with pytest.raises(DatasetFormatError):
             load_image_set(path)
+
+    def test_more_than_256_classes_rejected_before_writing(self, tmp_path):
+        # the record format stores each label in one byte: 299 would read back as 43
+        wide = LabeledImageSet(np.zeros((2, 3, 4, 4), dtype=np.uint8), np.array([0, 299]), 300)
+        path = tmp_path / "set.bin"
+        with pytest.raises(ValueError, match="300 classes"):
+            save_image_set(wide, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_256_classes_round_trip(self, tmp_path):
+        full = LabeledImageSet(np.zeros((2, 3, 4, 4), dtype=np.uint8), np.array([0, 255]), 256)
+        path = tmp_path / "set.bin"
+        save_image_set(full, path)
+        assert load_image_set(path).labels.tolist() == [0, 255]
+
+    @pytest.mark.parametrize(
+        "edit,where",
+        [
+            (lambda text: text.replace("classes=2", "classes=two"), ":1: "),
+            (lambda text: text.replace("width=4", "width 4"), ":3: "),
+            (lambda text: text.replace("height=4\n", ""), "missing key 'height'"),
+        ],
+        ids=["bad-value", "no-equals", "missing-key"],
+    )
+    def test_malformed_sidecar_names_path_and_line_or_key(self, tmp_path, edit, where):
+        path = tmp_path / "set.bin"
+        save_image_set(make_synthetic("separable", 2, 2, 4, 4, seed=1), path)
+        meta = tmp_path / "set.bin.meta"
+        meta.write_text(edit(meta.read_text()))
+        with pytest.raises(DatasetFormatError) as err:
+            load_image_set(path)
+        assert str(meta) in str(err.value) and where in str(err.value)
 
 
 class TestAugment:

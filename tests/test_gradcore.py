@@ -336,6 +336,37 @@ class TestPoolAndRelu:
         assert_same_bits(out.data, want_out)
         assert_same_bits(out.vjp(g)[0], want_gx)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        window=st.integers(2, 3),
+        extra_h=st.integers(0, 7),
+        extra_w=st.integers(0, 7),
+        signed_zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relu_commutes_with_pool(self, n, c, window, extra_h, extra_w, signed_zeros, seed):
+        # relu is monotone, so relu(max(window)) == max(relu(window)); the
+        # input gradients agree under ==, which lets a zero differ in sign
+        rng = np.random.default_rng(seed)
+        shape = (n, c, window + extra_h, window + extra_w)
+        if signed_zeros:
+            x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=shape)
+        else:
+            x = np.maximum(rng.normal(size=shape), 0.0)
+        pool_first = relu(max_pool2d(Tensor(x, requires_grad=True), window=window))
+        relu_first = max_pool2d(relu(Tensor(x, requires_grad=True)), window=window)
+        assert_same_bits(pool_first.data, relu_first.data)
+
+        g = rng.normal(size=pool_first.data.shape)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        pooled, = pool_first.parents
+        gx_pool_first = pooled.vjp(pool_first.vjp(g)[0])[0]
+        relued, = relu_first.parents
+        gx_relu_first = relued.vjp(relu_first.vjp(g)[0])[0]
+        assert np.array_equal(gx_pool_first, gx_relu_first)
+
     def test_relu_zeroes_negatives(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
         assert out.data.tolist() == [0.0, 0.0, 2.0]

@@ -4,7 +4,8 @@ equivalence of frozen standardizing tables with the plain baseline."""
 import numpy as np
 import pytest
 
-from lookupvnet.gradcore import ShapeMismatchError, Tensor
+from lookupvnet import gradcore
+from lookupvnet.gradcore import ShapeMismatchError, Tensor, backward, softmax_cross_entropy
 from lookupvnet.lookup import lookup
 from lookupvnet.network import (
     ChannelStats,
@@ -95,6 +96,47 @@ class TestForward:
         model = build_model(small_config())
         logits = forward(model, Tensor(np.zeros((7, 3, 12, 12))))
         assert logits.data.shape == (7, 5)
+
+
+class TestReluAfterPool:
+    """forward pools before its relu; that must give the bits of relu then pool."""
+
+    @staticmethod
+    def relu_then_pool(model, x):
+        cfg = model.config
+        h = x
+        for i, block in enumerate(cfg.conv_blocks):
+            h = gradcore.relu(gradcore.conv2d(h, model.params[f"conv{i}.w"], stride=block.stride))
+            if block.pool:
+                h = gradcore.max_pool2d(h, window=cfg.pool_window)
+        h = gradcore.reshape(h, (h.data.shape[0], -1))
+        h = gradcore.relu(gradcore.dense(h, model.params["hidden.w"], model.params["hidden.b"]))
+        return gradcore.dense(h, model.params["out.w"], model.params["out.b"])
+
+    @pytest.mark.parametrize("input_channels", [3, 12], ids=["baseline-or-u1", "u4"])
+    def test_desk_shapes_match_relu_then_pool(self, input_channels):
+        # the desk model: 32x32 input, conv blocks 8/16/16 each pooled
+        cfg = ModelConfig(
+            input_channels=input_channels,
+            conv_blocks=tuple(ConvSpec(kernel=3, filters=j, pool=True) for j in (8, 16, 16)),
+            head_width=64,
+            class_count=10,
+            input_size=(32, 32),
+            seed=5,
+        )
+        model = build_model(cfg)
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(8, input_channels, 32, 32)), requires_grad=True)
+        labels = rng.integers(0, 10, size=8)
+
+        logits = forward(model, x)
+        reference = self.relu_then_pool(model, x)
+        assert logits.data.tobytes() == reference.data.tobytes()
+
+        grads = backward(softmax_cross_entropy(logits, labels))
+        want = backward(softmax_cross_entropy(reference, labels))
+        for leaf in (x, *model.params.values()):
+            assert np.array_equal(grads[leaf], want[leaf])
 
 
 class TestStandardize:

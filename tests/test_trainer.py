@@ -10,13 +10,14 @@ import pytest
 from lookupvnet.data import make_synthetic
 from lookupvnet.gradcore import Tensor
 from lookupvnet.lookup import init_tables
-from lookupvnet.network import ConvSpec, ModelConfig, build_model
+from lookupvnet.network import ChannelStats, ConvSpec, ModelConfig, StandardizeStage, build_model
 from lookupvnet.trainer import (
     OptimState,
     TrainingDiverged,
     TrainPlan,
     _pack_rng,
     _unpack_rng,
+    checkpoint_sections,
     evaluate,
     read_checkpoint,
     restore_model,
@@ -47,6 +48,17 @@ def tiny_setup(seed=0, u=1, class_count=2):
     tables = init_tables("full", u, seed=seed + 100)
     model = build_model(tiny_config(3 * u, class_count=class_count, seed=seed))
     return model, tables
+
+
+def poisoned_row_sets(tables, seed):
+    """A 2-class train set, and a copy whose first image reads green row 100,
+    which lies between the two color bands; that row is set to inf."""
+    data = make_synthetic("separable", 8, 2, 8, 8, seed=seed)
+    assert not np.any(data.images[:, 1] == 100)
+    test = make_synthetic("separable", 8, 2, 8, 8, seed=seed)
+    test.images[0, 1, 0, 0] = 100
+    tables.tables[1].data[100] = np.inf
+    return data, test
 
 
 class TestSgdStep:
@@ -169,6 +181,37 @@ class TestTrainSingle:
         with pytest.raises(TrainingDiverged, match="epoch 0 step 0"):
             train_single(model, tables, data, plan, OptimState(lr=0.05), timer=FIXED_CLOCK)
 
+    def test_non_finite_test_loss_stops_training(self):
+        # a frozen table row that only the test set reads: every train loss
+        # and every trainable parameter stays finite
+        model, tables = tiny_setup(seed=4)
+        data, test = poisoned_row_sets(tables, seed=4)
+        plan = TrainPlan(epochs=3, batch_size=8, seed=4, freeze_tables=True)
+        with pytest.raises(TrainingDiverged, match="test loss nan after epoch 0;"):
+            train_single(model, tables, data, plan, OptimState(lr=0.05), test_set=test,
+                         timer=FIXED_CLOCK)
+
+    def test_non_finite_parameter_is_named(self):
+        # a learnable table row that no train pixel reads: the loss stays finite
+        model, tables = tiny_setup(seed=4)
+        data, _ = poisoned_row_sets(tables, seed=4)
+        plan = TrainPlan(epochs=3, batch_size=8, seed=4)
+        with pytest.raises(TrainingDiverged, match="parameter tables/g after epoch 0"):
+            train_single(model, tables, data, plan, OptimState(lr=0.05), timer=FIXED_CLOCK)
+
+    def test_frozen_table_is_not_a_trainable_parameter(self):
+        model, tables = tiny_setup(seed=4)
+        data, _ = poisoned_row_sets(tables, seed=4)
+        plan = TrainPlan(epochs=2, batch_size=8, seed=4, freeze_tables=True)
+        train_single(model, tables, data, plan, OptimState(lr=0.05), timer=FIXED_CLOCK)
+
+    def test_run_without_test_set_keeps_nan_placeholder(self):
+        model, tables = tiny_setup(seed=5)
+        data = make_synthetic("separable", 8, 2, 8, 8, seed=5)
+        plan = TrainPlan(epochs=2, batch_size=4, seed=5)
+        metrics = train_single(model, tables, data, plan, OptimState(lr=0.05), timer=FIXED_CLOCK)
+        assert all(np.isnan(r.test_loss) and np.isnan(r.test_acc) for r in metrics.rows)
+
     def test_seeded_runs_produce_identical_metrics(self):
         results = []
         for _ in range(2):
@@ -243,6 +286,15 @@ class TestCrossStrategies:
                             OptimState(lr=0.05), OptimState(lr=0.0), timer=FIXED_CLOCK)
         assert all(np.array_equal(model_g.params[n].data, v) for n, v in g_before.items())
         assert any(not np.array_equal(model_f.params[n].data, v) for n, v in f_before.items())
+
+    def test_diverging_net_is_named(self):
+        model_f, tables = tiny_setup(seed=9)
+        model_g = build_model(tiny_config(3, seed=10))
+        data, test_q = poisoned_row_sets(tables, seed=9)
+        plan = TrainPlan(epochs=2, batch_size=4, seed=9, freeze_tables=True)
+        with pytest.raises(TrainingDiverged, match="test loss nan after epoch 0 net g;"):
+            train_cross_task(model_f, model_g, tables, data, data, plan, OptimState(lr=0.05),
+                             OptimState(lr=0.05), test_p=data, test_q=test_q, timer=FIXED_CLOCK)
 
     def test_alternation_isolation_per_step(self):
         model_f, tables = tiny_setup(seed=13)
@@ -383,6 +435,23 @@ class TestMetricsCsv:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("missing", ["meta/model", "model/hidden.w", "meta/stage", "tables/g"])
+    def test_missing_section_is_named(self, missing):
+        model, tables = tiny_setup(seed=15)
+        sections = checkpoint_sections(model, tables)
+        del sections[missing]
+        restore = restore_stage if missing in ("meta/stage", "tables/g") else restore_model
+        with pytest.raises(ValueError, match=f"no section '{missing}'"):
+            restore(sections)
+
+    def test_missing_baseline_stats_section_is_named(self):
+        stage = StandardizeStage(stats=ChannelStats([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]))
+        model = build_model(tiny_config(3, seed=15))
+        sections = checkpoint_sections(model, stage)
+        del sections["stage/std"]
+        with pytest.raises(ValueError, match="no section 'stage/std'"):
+            restore_stage(sections)
+
     def test_round_trip_sections(self, tmp_path):
         path = tmp_path / "ck.lvnc"
         sections = {
