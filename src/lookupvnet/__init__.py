@@ -30,6 +30,7 @@ from .lookup import (
     CompressedLookupTables,
     FullLookupTables,
     LookupResult,
+    LookupTables,
     compressed_index,
     init_tables,
     lookup,

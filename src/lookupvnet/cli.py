@@ -300,10 +300,7 @@ def cmd_eval(args):
 
 def gradcheck_report(table_kind, dim_or_rate, seed):
     """Tiny fixed model (well under 5,000 parameters), all-parameter check."""
-    if table_kind == "compressed":
-        stage = init_tables("compressed", dim_or_rate, seed + 1)
-    else:
-        stage = init_tables("full", dim_or_rate, seed + 1)
+    stage = init_tables(table_kind, dim_or_rate, seed + 1)
     cfg = ModelConfig(
         input_channels=stage.output_channels,
         conv_blocks=(ConvSpec(kernel=3, filters=4, stride=1, pool=True),),

@@ -122,7 +122,11 @@ def save_image_set(dataset, path):
 def load_image_set(path):
     """Read a set written by save_image_set."""
     meta_path, meta = str(path) + ".meta", {}
-    with open(meta_path) as fh:
+    try:
+        fh = open(meta_path)
+    except FileNotFoundError:
+        raise DatasetFormatError(f"{meta_path}: sidecar missing; save_image_set writes it") from None
+    with fh:
         for line_no, line in enumerate(fh, 1):
             key, _, value = line.strip().partition("=")
             try:
@@ -139,8 +143,15 @@ def load_image_set(path):
     if raw.size != record * meta["count"]:
         raise DatasetFormatError(f"{path}: expected {record * meta['count']} bytes, got {raw.size}")
     records = raw.reshape(meta["count"], record)
+    labels = records[:, 0].astype(np.int64)
+    bad = np.flatnonzero(labels >= meta["classes"])
+    if bad.size:
+        raise DatasetFormatError(
+            f"{path}: label {labels[bad[0]]} >= {meta['classes']} classes in record {bad[0]} "
+            f"at byte {bad[0] * record}"
+        )
     images = records[:, 1:].reshape(-1, 3, meta["height"], meta["width"])
-    return LabeledImageSet(images, records[:, 0].astype(np.int64), meta["classes"], name=str(path))
+    return LabeledImageSet(images, labels, meta["classes"], name=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Learnable per-channel color lookup tables.
 
 The input stage that replaces fixed integer pixel coding: each 8-bit
-color value in each RGB channel indexes either a learnable vector (full
-tables, 256 rows of dimension u per channel) or a learnable scalar
-shared by every c consecutive colors (compressed tables, ceil(256/c)
-entries per channel). The forward pass is a gather over pixel colors;
-its adjoint scatter-adds upstream gradients back into the indexed rows.
+color value v in each RGB channel reads row v // c of a learnable
+per-channel table of width u. Full tables have c = 1 and 256 rows of u
+entries; compressed tables have u = 1 and ceil(256/c) scalar entries,
+one shared by every c consecutive colors. The forward pass is a gather
+over pixel colors; its adjoint scatter-adds upstream gradients back
+into the indexed rows.
 """
 
 from __future__ import annotations
@@ -32,20 +33,35 @@ def compressed_index(color, c):
     return color // c
 
 
-class FullLookupTables:
-    """Three channel tables of 256 learnable vectors of dimension u."""
+def table_shape(kind, value):
+    """Stored shape of one channel table: (256, u) full, (ceil(256/c),) compressed."""
+    if kind == "full":
+        if value < 1:
+            raise ValueError(f"vector dimension must be >= 1, got {value}")
+        return (256, int(value))
+    if kind == "compressed":
+        if not 1 <= value <= 256:
+            raise ValueError(f"compression rate must be in [1, 256], got {value}")
+        return (table_size(value),)
+    raise ValueError(f"unknown table kind {kind!r}")
 
-    kind = "full"
 
-    def __init__(self, u, channel_tables):
-        if u < 1:
-            raise ValueError(f"vector dimension must be >= 1, got {u}")
-        self.u = int(u)
+class LookupTables:
+    """Three channel tables of width u, read at row v // c for color v.
+
+    value is the vector dimension u for kind="full" (then c = 1) and the
+    compression rate c for kind="compressed" (then u = 1).
+    """
+
+    def __init__(self, kind, value, channel_tables):
+        shape = table_shape(kind, value)
+        self.kind, self.value = kind, int(value)
+        self.u, self.c = (self.value, 1) if kind == "full" else (1, self.value)
         self.tables = []
         for ch, arr in zip(CHANNELS, channel_tables):
             arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != (256, self.u):
-                raise ValueError(f"{ch} table must have shape (256, {self.u}), got {arr.shape}")
+            if arr.shape != shape:
+                raise ValueError(f"{ch} table must have shape {shape}, got {arr.shape}")
             self.tables.append(Tensor(arr, requires_grad=True, op=f"tables/{ch}"))
 
     @property
@@ -55,42 +71,28 @@ class FullLookupTables:
     def parameters(self):
         return {f"tables/{ch}": t for ch, t in zip(CHANNELS, self.tables)}
 
+    def apply(self, images):
+        return lookup(images, self).values
+
+
+class FullLookupTables(LookupTables):
+    """Three channel tables of 256 learnable vectors of dimension u."""
+
+    def __init__(self, u, channel_tables):
+        super().__init__("full", u, channel_tables)
+
     @classmethod
     def from_channel_maps(cls, maps):
         """Build from three (256, u) arrays; handy for frozen codings."""
         maps = [np.asarray(m, dtype=np.float64) for m in maps]
         return cls(maps[0].shape[1], maps)
 
-    def apply(self, images):
-        return lookup(images, self).values
 
-
-class CompressedLookupTables:
+class CompressedLookupTables(LookupTables):
     """Three channel tables of ceil(256/c) learnable scalars each."""
 
-    kind = "compressed"
-
     def __init__(self, c, channel_tables):
-        if not 1 <= c <= 256:
-            raise ValueError(f"compression rate must be in [1, 256], got {c}")
-        self.c = int(c)
-        rows = table_size(self.c)
-        self.tables = []
-        for ch, arr in zip(CHANNELS, channel_tables):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != (rows,):
-                raise ValueError(f"{ch} table must have shape ({rows},), got {arr.shape}")
-            self.tables.append(Tensor(arr, requires_grad=True, op=f"tables/{ch}"))
-
-    @property
-    def output_channels(self):
-        return 3
-
-    def parameters(self):
-        return {f"tables/{ch}": t for ch, t in zip(CHANNELS, self.tables)}
-
-    def apply(self, images):
-        return lookup(images, self).values
+        super().__init__("compressed", c, channel_tables)
 
 
 def init_tables(kind, value, seed):
@@ -100,16 +102,8 @@ def init_tables(kind, value, seed):
     rate c for kind="compressed".
     """
     rng = np.random.default_rng(seed)
-    if kind == "full":
-        if value < 1:
-            raise ValueError(f"vector dimension must be >= 1, got {value}")
-        return FullLookupTables(value, [rng.uniform(-1.0, 1.0, (256, value)) for _ in CHANNELS])
-    if kind == "compressed":
-        if not 1 <= value <= 256:
-            raise ValueError(f"compression rate must be in [1, 256], got {value}")
-        rows = table_size(value)
-        return CompressedLookupTables(value, [rng.uniform(-1.0, 1.0, rows) for _ in CHANNELS])
-    raise ValueError(f"unknown table kind {kind!r}")
+    shape = table_shape(kind, value)
+    return LookupTables(kind, value, [rng.uniform(-1.0, 1.0, shape) for _ in CHANNELS])
 
 
 @dataclass
@@ -147,14 +141,12 @@ def lookup(images, tables):
     images = _as_batch(images)
     n, _, h, w = images.shape
 
-    if tables.kind == "full":
-        indices = images.astype(np.int32)
-    elif tables.kind == "compressed":
-        indices = images.astype(np.int32) // tables.c
-    else:
-        raise ValueError(f"unknown table kind {tables.kind!r}")
-
-    width = tables.output_channels // 3
+    indices = images.astype(np.int32)
+    if tables.c > 1:
+        # not //= in place: freeing the int32 copy at once lifts glibc's mmap
+        # threshold; in place, batch-256 c=16 lookups measured 2x slower
+        indices = indices // tables.c
+    width = tables.u
     out = np.empty((n, 3 * width, h, w))
     for ch, table in enumerate(tables.tables):
         columns = np.ascontiguousarray(table.data.reshape(-1, width).T)  # [width, rows]
@@ -176,7 +168,7 @@ def lookup_backward(upstream, indices, tables):
     channel-ch index is v; rows for colors absent from the batch stay zero.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    width = tables.output_channels // 3
+    width = tables.u
     grads = []
     for ch, table in enumerate(tables.tables):
         idx, rows = indices[:, ch].ravel(), table.data.shape[0]

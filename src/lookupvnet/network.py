@@ -14,6 +14,7 @@ import numpy as np
 
 from . import gradcore
 from .gradcore import Tensor
+from .lookup import FullLookupTables
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,6 @@ def standardizing_tables(stats):
     exactly, which is what makes the table stage a strict generalization
     of standardization.
     """
-    from .lookup import FullLookupTables
-
     values = np.arange(256, dtype=np.float64)
     std = stats.effective_std()
     maps = [((values - stats.mean[ch]) / std[ch]).reshape(256, 1) for ch in range(3)]

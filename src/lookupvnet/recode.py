@@ -52,10 +52,7 @@ def read_ppm(path):
 
 def recode_values(images, tables):
     """One displayable plane per RGB channel for every image, as float64."""
-    values = lookup(images, tables).values.data
-    if tables.kind == "full" and tables.u > 1:
-        values = values[:, :: tables.u]  # first vector component per channel
-    return values
+    return lookup(images, tables).values.data[:, :: tables.u]  # first component per channel
 
 
 def normalize_to_bytes(values):

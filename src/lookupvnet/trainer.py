@@ -19,6 +19,7 @@ import numpy as np
 from . import gradcore, network
 from .data import AugmentSpec, augment_batch, batch_iter
 from .gradcore import Tensor, backward, softmax_cross_entropy
+from .lookup import LookupTables
 
 
 class TrainingDiverged(RuntimeError):
@@ -379,6 +380,7 @@ def _unpack_rng(limbs):
 
 
 _STAGE_CODES = {"standardize": 0.0, "full": 1.0, "compressed": 2.0}
+_STAGE_KINDS = {code: kind for kind, code in _STAGE_CODES.items()}
 
 
 def checkpoint_sections(model, stage, optim=None, rng=None):
@@ -401,12 +403,8 @@ def checkpoint_sections(model, stage, optim=None, rng=None):
         if stats is not None:
             sections["stage/mean"] = stats.mean
             sections["stage/std"] = stats.std
-    elif stage.kind == "full":
-        sections["meta/stage"] = np.array([_STAGE_CODES["full"], float(stage.u)])
-    elif stage.kind == "compressed":
-        sections["meta/stage"] = np.array([_STAGE_CODES["compressed"], float(stage.c)])
     else:
-        raise ValueError(f"unknown stage kind {stage.kind!r}")
+        sections["meta/stage"] = np.array([_STAGE_CODES[stage.kind], float(stage.value)])
 
     for name, tensor in model.parameters().items():
         sections[f"model/{name}"] = tensor.data
@@ -431,8 +429,14 @@ def _section(sections, name):
     return sections[name]
 
 
+def _check_length(name, meta, need):
+    if len(meta) != need:
+        raise ValueError(f"checkpoint section {name!r} holds {len(meta)} values but needs {need}")
+
+
 def restore_model(sections):
     meta = [int(v) for v in _section(sections, "meta/model")]
+    _check_length("meta/model", meta, 8 + 4 * meta[7] if len(meta) >= 8 else 8)
     n_blocks = meta[7]
     blocks = []
     for i in range(n_blocks):
@@ -454,11 +458,12 @@ def restore_model(sections):
 
 
 def restore_stage(sections):
-    from .lookup import CompressedLookupTables, FullLookupTables
-
     meta = _section(sections, "meta/stage")
-    code = float(meta[0])
-    if code == _STAGE_CODES["standardize"]:
+    kind = _STAGE_KINDS.get(float(meta[0])) if len(meta) else None
+    if kind is None:
+        raise ValueError(f"checkpoint section 'meta/stage' has no known stage code: {meta[:1].tolist()}")
+    _check_length("meta/stage", meta, 3 if kind == "standardize" else 2)
+    if kind == "standardize":
         per_image = bool(meta[1])
         eps = float(meta[2])
         if per_image:
@@ -466,8 +471,5 @@ def restore_stage(sections):
         mean, std = _section(sections, "stage/mean"), _section(sections, "stage/std")
         stats = network.ChannelStats(mean, std, eps=eps)
         return network.StandardizeStage(stats=stats, eps=eps)
-    if code in (_STAGE_CODES["full"], _STAGE_CODES["compressed"]):
-        tables = [_section(sections, f"tables/{ch}").copy() for ch in ("r", "g", "b")]
-        kind = FullLookupTables if code == _STAGE_CODES["full"] else CompressedLookupTables
-        return kind(int(meta[1]), tables)
-    raise ValueError(f"unknown stage code {code}")
+    tables = [_section(sections, f"tables/{ch}").copy() for ch in ("r", "g", "b")]
+    return LookupTables(kind, int(meta[1]), tables)

@@ -1,5 +1,7 @@
 """Command-line surface: flags, outputs, exit codes, determinism."""
 
+import pytest
+
 from lookupvnet import cli, data, gradcore
 from lookupvnet.trainer import read_checkpoint, write_checkpoint
 
@@ -98,6 +100,26 @@ class TestTrain:
         )
         assert code == 2
         assert "'model/hidden.w'" in err
+
+    @pytest.mark.parametrize(
+        "extra,section,keep,need",
+        [((), "meta/model", 5, 8), ((), "meta/model", 11, 12), ((), "meta/stage", 1, 2),
+         (("--baseline",), "meta/stage", 2, 3)],
+        ids=["model-5", "model-11", "table-stage-1", "baseline-stage-2"],
+    )
+    def test_short_meta_section_exits_2_naming_it(self, tmp_path, capsys, extra, section, keep, need):
+        code, _, _ = run(capsys, *train_args(tmp_path / "run", "--epochs", "1", *extra))
+        assert code == 0
+        path = tmp_path / "run" / "checkpoint.lvnc"
+        sections = read_checkpoint(path)
+        sections[section] = sections[section][:keep]
+        write_checkpoint(path, sections)
+        code, _, err = run(
+            capsys, "eval", "--checkpoint", str(path), "--dataset", "synthetic:separable",
+            "--classes", "2", "--per-class", "16", "--image-size", "8",
+        )
+        assert code == 2
+        assert f"'{section}' holds {keep} values but needs {need}" in err
 
     def test_identical_seeds_give_identical_checkpoints(self, tmp_path, capsys):
         run(capsys, *train_args(tmp_path / "a"))
@@ -279,3 +301,19 @@ class TestDatasetSpecs:
         )
         assert code == 2
         assert str(meta) in err and "'height'" in err
+
+    @pytest.mark.parametrize("defect", ["no-sidecar", "label-beyond-classes"])
+    def test_file_spec_with_bad_set_exits_2_naming_the_file(self, tmp_path, capsys, defect):
+        path = tmp_path / "set.bin"
+        data.save_image_set(data.make_synthetic("separable", 4, 2, 8, 8, seed=0), path)
+        meta = tmp_path / "set.bin.meta"
+        if defect == "no-sidecar":
+            meta.unlink()
+        else:
+            meta.write_text(meta.read_text().replace("classes=2", "classes=1"))
+        code, _, err = run(
+            capsys, "train", "--dataset", f"file:{path}", "--epochs", "1",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert str(meta if defect == "no-sidecar" else path) in err

@@ -113,6 +113,27 @@ class TestRoundTrip:
         assert str(meta) in str(err.value) and where in str(err.value)
 
 
+    def test_missing_sidecar_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "set.bin"
+        save_image_set(make_synthetic("separable", 2, 2, 4, 4, seed=1), path)
+        meta = tmp_path / "set.bin.meta"
+        meta.unlink()
+        with pytest.raises(DatasetFormatError) as err:
+            load_image_set(path)
+        assert str(meta) in str(err.value)
+
+    def test_label_beyond_classes_names_path_record_and_offset(self, tmp_path):
+        # labels 0, 0, 1, 1: record 2 is the first bad one; records are 1 + 3*4*4 bytes
+        path = tmp_path / "set.bin"
+        save_image_set(make_synthetic("separable", 2, 2, 4, 4, seed=1), path)
+        meta = tmp_path / "set.bin.meta"
+        meta.write_text(meta.read_text().replace("classes=2", "classes=1"))
+        with pytest.raises(DatasetFormatError) as err:
+            load_image_set(path)
+        message = str(err.value)
+        assert str(path) in message and "record 2" in message and "byte 98" in message
+
+
 class TestAugment:
     def test_no_pad_no_flip_is_identity(self):
         rng = np.random.default_rng(0)

@@ -1,11 +1,17 @@
 """Optimizer rule, the three training strategies, evaluation, the
 checkpoint format, and the metrics log."""
 
+import hashlib
 import struct
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from lookupvnet.data import make_synthetic
 from lookupvnet.gradcore import Tensor
@@ -465,6 +471,38 @@ class TestCheckpoint:
         for name in sections:
             assert np.array_equal(loaded[name], sections[name])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(max_size=12),
+            arrays(
+                np.float64,
+                array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+                elements=st.floats(width=64) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+            ),
+            max_size=4,
+        )
+    )
+    def test_round_trip_is_bit_identical(self, sections):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ck.lvnc"
+            write_checkpoint(path, sections)
+            loaded = read_checkpoint(path)
+        assert list(loaded) == list(sections)
+        for name, array in sections.items():
+            assert loaded[name].shape == array.shape
+            assert loaded[name].tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize("section", ["meta/model", "meta/stage"])
+    def test_overlong_meta_section_is_rejected(self, section):
+        model, tables = tiny_setup(seed=15)
+        sections = checkpoint_sections(model, tables)
+        want = len(sections[section])
+        sections[section] = np.append(sections[section], 0.0)
+        restore = restore_model if section == "meta/model" else restore_stage
+        with pytest.raises(ValueError, match=f"'{section}' holds {want + 1} values but needs {want}"):
+            restore(sections)
+
     def test_magic_and_version_checked(self, tmp_path):
         path = tmp_path / "bad.lvnc"
         path.write_bytes(b"NOPE\x01")
@@ -578,3 +616,39 @@ class TestCheckpoint:
             save_checkpoint(path, model, tables, optim, np.random.default_rng(28))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+# sha256 of save_checkpoint output after golden_checkpoint's 2-epoch run.
+# A change here means the LVNC bytes moved: table draws, section names or
+# order, stage codes, or a payload.
+GOLDEN_CHECKPOINTS = {
+    ("full", 1): "8977184f7260b424bbb54059863862eb39dfc11b00e504ceb5401443cc182a77",
+    ("full", 3): "9d7395016032e1ed1f811eb944095bcd5adbb9685b1fbbc6af9b225c5ac70371",
+    ("compressed", 16): "aa41a8ffee269708e2f270f5e3a2e84eef73f7dc6d86fc60aa8c59ac0fdd8b26",
+    ("compressed", 1): "3aff2164493922ebde9d6a27faf7befed934bae0149d6f4358d2589d743f6a5b",
+    ("standardize", "stats"): "08c4246519f6cf62ad65f519f3677ecf44e69d12231a2a6d4a39ab9f5aca227d",
+    ("standardize", "per-image"): "38ecbe98ec32b2d3304b91006f93fffc8191e9b3ecc2f38df84f6768eabfb4c2",
+}
+
+
+def golden_checkpoint(spec, path):
+    """Train a seeded 3-class model 2 epochs on spec's stage and save it."""
+    data = make_synthetic("striped", 6, 3, 8, 8, seed=41)
+    kind, value = spec
+    if kind != "standardize":
+        stage = init_tables(kind, value, seed=42)
+    elif value == "per-image":
+        stage = StandardizeStage(per_image=True, eps=1e-8)
+    else:
+        stage = StandardizeStage(stats=ChannelStats.from_images(data.images, eps=1e-8), eps=1e-8)
+    model = build_model(tiny_config(stage.output_channels, class_count=3, seed=43))
+    optim = OptimState(lr=0.05, momentum=0.9)
+    train_single(model, stage, data, TrainPlan(epochs=2, batch_size=5, seed=44), optim, timer=FIXED_CLOCK)
+    save_checkpoint(path, model, stage, optim, np.random.default_rng(45))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("spec", list(GOLDEN_CHECKPOINTS), ids=lambda s: f"{s[0]}-{s[1]}")
+def test_checkpoint_bytes_match_golden_digest(spec, tmp_path):
+    blob = golden_checkpoint(spec, tmp_path / "golden.lvnc")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_CHECKPOINTS[spec]
