@@ -139,7 +139,10 @@ def load_image_set(path):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key {key!r}")
     record = 1 + 3 * meta["height"] * meta["width"]
-    raw = np.fromfile(path, dtype=np.uint8)
+    try:
+        raw = np.fromfile(path, dtype=np.uint8)
+    except FileNotFoundError:
+        raise DatasetFormatError(f"{path}: records file missing; its sidecar {meta_path} exists") from None
     if raw.size != record * meta["count"]:
         raise DatasetFormatError(f"{path}: expected {record * meta['count']} bytes, got {raw.size}")
     records = raw.reshape(meta["count"], record)

@@ -9,6 +9,7 @@ built dynamically and are single-threaded.
 Only gradients a learnable leaf reads are computed: ``requires_grad``
 flows forward from the leaves, backward calls no vjp of a node that needs
 no gradient, and a vjp returns ``None`` for a parent that needs none.
+Inside ``no_grad()`` the ops record no graph at all.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ class Tensor:
     and carry a vector-Jacobian-product closure over their parents. An
     interior node requires a gradient exactly when one of its parents
     does. Data buffers are treated as immutable once a node has consumers.
+    Under ``no_grad()`` an op's output keeps no parents and no vjp.
     """
 
     __slots__ = ("data", "requires_grad", "parents", "vjp", "op")
 
     def __init__(self, data, requires_grad=False, parents=(), vjp=None, op="leaf"):
+        if parents and not _recording:
+            parents, vjp = (), None
         self.data = np.asarray(data, dtype=np.float64)
         self.parents = tuple(parents)
         self.requires_grad = any(p.requires_grad for p in self.parents) if parents else bool(requires_grad)
@@ -51,6 +55,24 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
+
+
+# ---------------------------------------------------------------------------
+# graph recording
+
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Context manager; ops inside it build constants with no parents or vjp,
+    so each input buffer is freed as soon as nothing else holds it."""
+    global _recording
+    prev, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prev
 
 
 # ---------------------------------------------------------------------------

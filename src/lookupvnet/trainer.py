@@ -135,11 +135,13 @@ def _batch_step(model, stage, images, labels, plan, optim, lr, where):
 
 
 def _eval_loss_acc(model, stage, dataset, batch_size=256):
+    # no tape: each activation is freed once the next op has read it
     total_loss, hits = 0.0, 0
-    for images, labels in batch_iter(dataset, batch_size):
-        logits = network.forward(model, stage.apply(images))
-        total_loss += float(softmax_cross_entropy(logits, labels).data) * len(labels)
-        hits += int((logits.data.argmax(axis=1) == labels).sum())
+    with gradcore.no_grad():
+        for images, labels in batch_iter(dataset, batch_size):
+            logits = network.forward(model, stage.apply(images))
+            total_loss += float(softmax_cross_entropy(logits, labels).data) * len(labels)
+            hits += int((logits.data.argmax(axis=1) == labels).sum())
     return total_loss / len(dataset), hits / len(dataset)
 
 
@@ -434,8 +436,18 @@ def _check_length(name, meta, need):
         raise ValueError(f"checkpoint section {name!r} holds {len(meta)} values but needs {need}")
 
 
+def _check_values(name, meta, fractional=()):
+    # int() raises OverflowError on inf and truncates 2.5; name the entry instead
+    for i, v in enumerate(meta):
+        if not math.isfinite(v) or (i not in fractional and v != int(v)):
+            need = "a finite number" if i in fractional else "a whole number"
+            raise ValueError(f"checkpoint section {name!r} value {i} is {v}, not {need}")
+
+
 def restore_model(sections):
-    meta = [int(v) for v in _section(sections, "meta/model")]
+    meta = _section(sections, "meta/model")
+    _check_values("meta/model", meta)
+    meta = [int(v) for v in meta]
     _check_length("meta/model", meta, 8 + 4 * meta[7] if len(meta) >= 8 else 8)
     n_blocks = meta[7]
     blocks = []
@@ -463,6 +475,7 @@ def restore_stage(sections):
     if kind is None:
         raise ValueError(f"checkpoint section 'meta/stage' has no known stage code: {meta[:1].tolist()}")
     _check_length("meta/stage", meta, 3 if kind == "standardize" else 2)
+    _check_values("meta/stage", meta, fractional=(2,) if kind == "standardize" else ())
     if kind == "standardize":
         per_image = bool(meta[1])
         eps = float(meta[2])

@@ -121,6 +121,21 @@ class TestTrain:
         assert code == 2
         assert f"'{section}' holds {keep} values but needs {need}" in err
 
+    @pytest.mark.parametrize("section,index", [("meta/model", 0), ("meta/stage", 1)])
+    def test_non_finite_meta_value_exits_2_naming_it(self, tmp_path, capsys, section, index):
+        code, _, _ = run(capsys, *train_args(tmp_path / "run", "--epochs", "1"))
+        assert code == 0
+        path = tmp_path / "run" / "checkpoint.lvnc"
+        sections = read_checkpoint(path)
+        sections[section][index] = float("inf")
+        write_checkpoint(path, sections)
+        code, _, err = run(
+            capsys, "eval", "--checkpoint", str(path), "--dataset", "synthetic:separable",
+            "--classes", "2", "--per-class", "16", "--image-size", "8",
+        )
+        assert code == 2
+        assert f"'{section}' value {index} is inf" in err
+
     def test_identical_seeds_give_identical_checkpoints(self, tmp_path, capsys):
         run(capsys, *train_args(tmp_path / "a"))
         run(capsys, *train_args(tmp_path / "b"))
@@ -317,3 +332,14 @@ class TestDatasetSpecs:
         )
         assert code == 2
         assert str(meta if defect == "no-sidecar" else path) in err
+
+    def test_file_spec_without_records_exits_2_naming_them(self, tmp_path, capsys):
+        path = tmp_path / "set.bin"
+        data.save_image_set(data.make_synthetic("separable", 4, 2, 8, 8, seed=0), path)
+        path.unlink()
+        code, _, err = run(
+            capsys, "train", "--dataset", f"file:{path}", "--epochs", "1",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert str(path) in err and "missing" in err

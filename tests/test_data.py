@@ -122,6 +122,14 @@ class TestRoundTrip:
             load_image_set(path)
         assert str(meta) in str(err.value)
 
+    def test_missing_records_file_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "set.bin"
+        save_image_set(make_synthetic("separable", 2, 2, 4, 4, seed=1), path)
+        path.unlink()
+        with pytest.raises(DatasetFormatError) as err:
+            load_image_set(path)
+        assert str(path) in str(err.value) and "missing" in str(err.value)
+
     def test_label_beyond_classes_names_path_record_and_offset(self, tmp_path):
         # labels 0, 0, 1, 1: record 2 is the first bad one; records are 1 + 3*4*4 bytes
         path = tmp_path / "set.bin"

@@ -574,6 +574,59 @@ class TestNeedsGrad:
         assert backward(sum_all(Tensor(np.ones(3)))) == {}
 
 
+class TestNoGrad:
+    @pytest.mark.parametrize(
+        "op,shapes",
+        [
+            (add, [(2, 3), (2, 3)]),
+            (mul, [(2, 3), (2, 3)]),
+            (sum_all, [(2, 3)]),
+            (lambda x: reshape(x, (6,)), [(2, 3)]),
+            (relu, [(2, 3)]),
+            (max_pool2d, [(1, 2, 4, 4)]),
+            (conv2d, [(1, 2, 5, 5), (3, 2, 3, 3)]),
+            (dense, [(2, 3), (3, 4), (4,)]),
+            (lambda z: softmax_cross_entropy(z, np.array([0, 2])), [(2, 3)]),
+        ],
+        ids=["add", "mul", "sum", "reshape", "relu", "pool", "conv", "dense", "softmax_ce"],
+    )
+    def test_output_records_no_graph_even_from_learnable_parents(self, op, shapes):
+        rng = np.random.default_rng(73)
+        parents = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        want = op(*parents)
+        with gradcore.no_grad():
+            out = op(*parents)
+        assert out.parents == () and out.vjp is None and out.requires_grad is False
+        assert out.op == want.op
+        assert_same_bits(out.data, want.data)
+
+    def test_leaves_keep_their_flag(self):
+        with gradcore.no_grad():
+            leaf = Tensor(np.ones(2), requires_grad=True)
+        assert leaf.requires_grad and leaf.parents == ()
+
+    def test_mode_is_restored_after_an_exception(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with gradcore.no_grad():
+                raise RuntimeError("inside")
+        assert sum_all(w).parents == (w,)
+
+    def test_nested_contexts_restore_the_outer_mode(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with gradcore.no_grad():
+            with gradcore.no_grad():
+                assert sum_all(w).parents == ()
+            assert sum_all(w).parents == ()
+        assert sum_all(w).requires_grad
+
+    def test_backward_of_a_root_built_inside_is_empty(self):
+        w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        with gradcore.no_grad():
+            loss = sum_all(mul(w, w))
+        assert backward(loss) == {}
+
+
 class TestFiniteDiff:
     def test_quadratic_slope(self):
         theta = Tensor(np.array([3.0]), requires_grad=True)

@@ -5,6 +5,7 @@ import hashlib
 import struct
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from lookupvnet.data import make_synthetic
-from lookupvnet.gradcore import Tensor
+from lookupvnet import trainer
+from lookupvnet.data import LabeledImageSet, batch_iter, make_synthetic
+from lookupvnet.gradcore import Tensor, softmax_cross_entropy
 from lookupvnet.lookup import init_tables
-from lookupvnet.network import ChannelStats, ConvSpec, ModelConfig, StandardizeStage, build_model
+from lookupvnet.network import ChannelStats, ConvSpec, ModelConfig, StandardizeStage, build_model, forward
 from lookupvnet.trainer import (
     OptimState,
     TrainingDiverged,
     TrainPlan,
+    _eval_loss_acc,
     _pack_rng,
     _unpack_rng,
     checkpoint_sections,
@@ -265,6 +268,79 @@ class TestEvaluate:
         assert acc == frequency
 
 
+def taped_loss_acc(model, stage, dataset, batch_size=256):
+    """The scoring loop with a full tape, as it ran before tape-free scoring."""
+    total_loss, hits = 0.0, 0
+    for images, labels in batch_iter(dataset, batch_size):
+        logits = forward(model, stage.apply(images))
+        assert logits.parents  # the reference really records a graph
+        total_loss += float(softmax_cross_entropy(logits, labels).data) * len(labels)
+        hits += int((logits.data.argmax(axis=1) == labels).sum())
+    return total_loss / len(dataset), hits / len(dataset)
+
+
+def scoring_stage(kind, data):
+    if kind == "baseline":
+        return StandardizeStage(stats=ChannelStats.from_images(data.images, eps=1e-8), eps=1e-8)
+    return init_tables(kind, 4 if kind == "full" else 16, seed=52)
+
+
+class TestTapeFreeScoring:
+    @pytest.mark.parametrize("kind", ["full", "compressed", "baseline"])
+    def test_loss_and_accuracy_match_the_taped_loop_bit_for_bit(self, kind):
+        # 300 images: one batch of 256 and a ragged one of 44
+        data = make_synthetic("striped", 100, 3, 16, 16, seed=51)
+        stage = scoring_stage(kind, data)
+        model = build_model(tiny_config(stage.output_channels, class_count=3, size=(16, 16),
+                                        seed=53, filters=(8, 16)))
+        train_single(model, stage, data, TrainPlan(epochs=1, batch_size=32, seed=54),
+                     OptimState(lr=0.01, momentum=0.9), timer=FIXED_CLOCK)
+        want = taped_loss_acc(model, stage, data)
+        got = _eval_loss_acc(model, stage, data)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert evaluate(model, stage, data) == want[1]
+
+    def test_scoring_records_no_graph(self, monkeypatch):
+        model, tables = tiny_setup(seed=55)
+        seen = []
+
+        def spy(logits, labels):
+            seen.append(logits)
+            return softmax_cross_entropy(logits, labels)
+
+        monkeypatch.setattr(trainer, "softmax_cross_entropy", spy)
+        evaluate(model, tables, make_synthetic("separable", 4, 2, 8, 8, seed=55))
+        assert seen and all(z.parents == () and z.vjp is None for z in seen)
+        # training still records its tape
+        train_single(model, tables, make_synthetic("separable", 2, 2, 8, 8, seed=55),
+                     TrainPlan(epochs=1, batch_size=4, seed=55), OptimState(lr=0.01), timer=FIXED_CLOCK)
+        assert seen[-1].parents
+
+    def test_desk_scoring_peak_memory(self):
+        # The acceptance desk model at u=4 over 500 test images. With a tape,
+        # every activation of a 256-image batch stays alive until the next
+        # batch's tape replaces it, and the peak was about 121 MiB.
+        rng = np.random.default_rng(56)
+        data = LabeledImageSet(rng.integers(0, 256, (500, 3, 32, 32)), rng.integers(0, 10, 500), 10)
+        tables = init_tables("full", 4, seed=57)
+        config = ModelConfig(
+            input_channels=12,
+            conv_blocks=tuple(ConvSpec(kernel=3, filters=j, pool=True) for j in (8, 16, 16)),
+            head_width=64,
+            class_count=10,
+            input_size=(32, 32),
+            seed=58,
+        )
+        model = build_model(config)
+        tracemalloc.start()
+        try:
+            evaluate(model, tables, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"evaluate peaked at {peak / 2**20:.1f} MiB"
+
+
 class TestCrossStrategies:
     def test_zero_lr_alternation_is_a_no_op(self):
         model_f, tables = tiny_setup(seed=9)
@@ -501,6 +577,26 @@ class TestCheckpoint:
         sections[section] = np.append(sections[section], 0.0)
         restore = restore_model if section == "meta/model" else restore_stage
         with pytest.raises(ValueError, match=f"'{section}' holds {want + 1} values but needs {want}"):
+            restore(sections)
+
+    @pytest.mark.parametrize(
+        "section,index,value,baseline",
+        [("meta/model", 0, np.inf, False), ("meta/model", 7, np.nan, False), ("meta/model", 3, 2.5, False),
+         ("meta/stage", 1, -np.inf, False), ("meta/stage", 1, 1.5, False), ("meta/stage", 1, np.nan, True),
+         ("meta/stage", 2, np.inf, True)],
+        ids=["model-inf", "model-nan-blocks", "model-fraction", "tables-inf", "tables-fraction",
+             "baseline-flag-nan", "baseline-eps-inf"],
+    )
+    def test_bad_meta_value_is_named(self, section, index, value, baseline):
+        if baseline:
+            model = build_model(tiny_config(3, seed=15))
+            sections = checkpoint_sections(model, StandardizeStage(per_image=True, eps=1e-8))
+        else:
+            sections = checkpoint_sections(*tiny_setup(seed=15))
+        sections[section] = sections[section].copy()
+        sections[section][index] = value
+        restore = restore_model if section == "meta/model" else restore_stage
+        with pytest.raises(ValueError, match=f"'{section}' value {index} is {value}"):
             restore(sections)
 
     def test_magic_and_version_checked(self, tmp_path):
