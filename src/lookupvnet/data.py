@@ -23,6 +23,31 @@ class DatasetFormatError(ValueError):
     """Raised for malformed dataset files; message carries the byte offset."""
 
 
+def byte_pixels(values):
+    """values as a uint8 array, or a ValueError naming the first pixel that
+    is not a whole number in 0..255; a uint8 array passes unchecked."""
+    values = np.asarray(values)
+    if values.dtype != np.uint8:
+        bad = np.flatnonzero(
+            ~np.isfinite(values) | (values != np.round(values)) | (values < 0) | (values > 255)
+        )
+        if bad.size:
+            pos = tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
+            raise ValueError(f"pixel {values[pos]} at {pos} is not a byte value 0..255")
+        values = values.astype(np.uint8)
+    return values
+
+
+def byte_batch(images):
+    """Byte images [N,3,H,W] as uint8; one [3,H,W] image becomes a batch of one."""
+    images = np.asarray(images)
+    if images.ndim == 3:
+        images = images[None]
+    if images.ndim != 4 or images.shape[1] != 3:
+        raise ValueError(f"expected byte images [N,3,H,W] or [3,H,W], got {images.shape}")
+    return byte_pixels(images)
+
+
 @dataclass
 class LabeledImageSet:
     images: np.ndarray  # uint8 [M,3,H,W]
@@ -31,7 +56,7 @@ class LabeledImageSet:
     name: str = ""
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.uint8)
+        self.images = byte_pixels(self.images)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4 or self.images.shape[1] != 3:
             raise ValueError(f"images must be [M,3,H,W], got {self.images.shape}")

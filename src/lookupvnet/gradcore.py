@@ -141,9 +141,10 @@ def relu(x):
     return Tensor(np.where(mask, x.data, 0.0), parents=(x,), vjp=lambda g: (g * mask,), op="relu")
 
 
-# Upper bound on the im2col patches conv2d unrolls at once: half of a 4 MiB
-# per-core L2, and well under the 32 MiB ceiling of glibc's dynamic mmap
-# threshold, so freed blocks are reused from the heap, not mapped afresh.
+# Upper bound on the im2col patches conv2d unrolls at once: the whole 2 MiB
+# per-core L2 of the Xeon (model 143) it was measured on, and well under the
+# 32 MiB ceiling of glibc's dynamic mmap threshold, so freed blocks are
+# reused from the heap, not mapped afresh.
 _BLOCK_BYTES = 2 << 20
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import byte_batch
 from .gradcore import Tensor
 
 CHANNELS = ("r", "g", "b")
@@ -114,23 +115,6 @@ class LookupResult:
     indices: np.ndarray  # [N, 3, H, W] row indices actually gathered
 
 
-def _as_batch(images):
-    images = np.asarray(images)
-    if images.ndim == 3:
-        images = images[None]
-    if images.ndim != 4 or images.shape[1] != 3:
-        raise ValueError(f"expected byte images [N,3,H,W] or [3,H,W], got {images.shape}")
-    if images.dtype != np.uint8:
-        bad = np.flatnonzero(~np.isfinite(images) | (images != np.round(images)))
-        if bad.size:
-            pos = tuple(int(i) for i in np.unravel_index(bad[0], images.shape))
-            raise ValueError(f"pixel {images[pos]} at {pos} is not a whole byte value")
-        if images.min() < 0 or images.max() > 255:
-            raise ValueError("pixel values outside byte range 0..255")
-        images = images.astype(np.uint8)
-    return images
-
-
 def lookup(images, tables):
     """Replace every pixel color with its table entry.
 
@@ -138,7 +122,7 @@ def lookup(images, tables):
     compressed tables emit one plane per channel. No standardization is
     applied: the coding itself is the learned input.
     """
-    images = _as_batch(images)
+    images = byte_batch(images)
     n, _, h, w = images.shape
 
     indices = images.astype(np.int32)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore
+from .data import byte_batch
 from .gradcore import Tensor
 from .lookup import FullLookupTables
 
@@ -146,16 +147,23 @@ class ChannelStats:
             raise ValueError("channel stats must be finite")
 
     @classmethod
+    def _reduce(cls, pixels, axes, eps):
+        # Reduce the bytes with a float64 accumulator instead of reducing a
+        # float64 copy: sums of whole bytes are exact in any order, and std
+        # squares the same float64 deviations, so the bits are the copy's.
+        return cls(
+            np.mean(pixels, axis=axes, dtype=np.float64), np.std(pixels, axis=axes, dtype=np.float64), eps=eps
+        )
+
+    @classmethod
     def from_images(cls, images, eps=0.0):
         """Dataset-level stats over byte images [M,3,H,W]."""
-        pixels = np.asarray(images, dtype=np.float64)
-        return cls(pixels.mean(axis=(0, 2, 3)), pixels.std(axis=(0, 2, 3)), eps=eps)
+        return cls._reduce(images, (0, 2, 3), eps)
 
     @classmethod
     def of_image(cls, image, eps=0.0):
         """Per-image stats over one byte image [3,H,W]."""
-        pixels = np.asarray(image, dtype=np.float64)
-        return cls(pixels.mean(axis=(1, 2)), pixels.std(axis=(1, 2)), eps=eps)
+        return cls._reduce(image, (1, 2), eps)
 
     def effective_std(self):
         std = self.std
@@ -166,13 +174,24 @@ class ChannelStats:
         return std
 
 
+def _standardizing_ramps(stats):
+    """[3, 256]: (v - mean) / std of each channel at every byte value v."""
+    return (np.arange(256, dtype=np.float64) - stats.mean[:, None]) / stats.effective_std()[:, None]
+
+
 def standardize(image, stats):
-    """(pixel - mean) / std per channel; the manually designed linear coding."""
-    pixels = np.asarray(image, dtype=np.float64)
-    std = stats.effective_std()
-    if pixels.ndim == 3:
-        return Tensor((pixels - stats.mean[:, None, None]) / std[:, None, None], op="standardize")
-    return Tensor((pixels - stats.mean[None, :, None, None]) / std[None, :, None, None], op="standardize")
+    """(pixel - mean) / std per channel; the manually designed linear coding.
+
+    Pixels are bytes, so each channel gathers its values from a 256-entry
+    ramp into one float64 output: the same bits as the formula applied
+    pixel by pixel, without a float64 copy of the batch.
+    """
+    pixels = byte_batch(image)
+    ramps = _standardizing_ramps(stats)
+    out = np.empty(pixels.shape)
+    for ch in range(3):
+        np.take(ramps[ch], pixels[:, ch], out=out[:, ch])
+    return Tensor(out[0] if np.ndim(image) == 3 else out, op="standardize")
 
 
 class StandardizeStage:
@@ -195,9 +214,7 @@ class StandardizeStage:
         return {}
 
     def apply(self, images):
-        images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[None]
+        images = byte_batch(images)
         if self.per_image:
             coded = np.stack(
                 [standardize(img, ChannelStats.of_image(img, eps=self.eps)).data for img in images]
@@ -213,7 +230,4 @@ def standardizing_tables(stats):
     exactly, which is what makes the table stage a strict generalization
     of standardization.
     """
-    values = np.arange(256, dtype=np.float64)
-    std = stats.effective_std()
-    maps = [((values - stats.mean[ch]) / std[ch]).reshape(256, 1) for ch in range(3)]
-    return FullLookupTables.from_channel_maps(maps)
+    return FullLookupTables.from_channel_maps(ramp.reshape(256, 1) for ramp in _standardizing_ramps(stats))

@@ -142,6 +142,27 @@ class TestRoundTrip:
         assert str(path) in message and "record 2" in message and "byte 98" in message
 
 
+class TestBytePixels:
+    # np.asarray(..., dtype=np.uint8) wraps: 300.7 would be stored as 44 and -1 as 255
+    @pytest.mark.parametrize("bad", [300.7, -1, 256, 2.5, np.nan, np.inf], ids=str)
+    def test_non_byte_pixel_is_rejected_naming_its_position(self, bad):
+        images = np.full((2, 3, 2, 2), 7.0)
+        images[1, 2, 0, 1] = bad
+        with pytest.raises(ValueError, match=r"at \(1, 2, 0, 1\)"):
+            LabeledImageSet(images, [0, 1], 2)
+
+    def test_first_bad_pixel_is_named(self):
+        with pytest.raises(ValueError, match=r"pixel 300\.7 at \(0, 0, 0, 0\)"):
+            LabeledImageSet(np.full((1, 3, 2, 2), 300.7), [0], 2)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    def test_whole_values_in_range_are_stored_as_bytes(self, dtype):
+        pixels = np.random.default_rng(5).integers(0, 256, (3, 3, 4, 4))
+        pixels[0, 0, 0, :2] = (0, 255)
+        stored = LabeledImageSet(pixels.astype(dtype), [0, 1, 0], 2).images
+        assert stored.dtype == np.uint8 and np.array_equal(stored, pixels)
+
+
 class TestAugment:
     def test_no_pad_no_flip_is_identity(self):
         rng = np.random.default_rng(0)

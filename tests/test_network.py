@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from lookupvnet import gradcore
+from lookupvnet.data import make_synthetic
 from lookupvnet.gradcore import ShapeMismatchError, Tensor, backward, softmax_cross_entropy
-from lookupvnet.lookup import lookup
+from lookupvnet.lookup import init_tables, lookup
 from lookupvnet.network import (
     ChannelStats,
     ConvSpec,
@@ -165,6 +166,43 @@ class TestStandardize:
             assert abs(out[ch].mean()) < 1e-9
             assert abs(out[ch].std() - 1.0) < 1e-9
 
+    @staticmethod
+    def naive(pixels, stats):
+        """(pixel - mean) / std computed pixel by pixel on a float64 copy."""
+        pixels = pixels.astype(np.float64)
+        std = stats.effective_std()
+        if pixels.ndim == 3:
+            return (pixels - stats.mean[:, None, None]) / std[:, None, None]
+        return (pixels - stats.mean[None, :, None, None]) / std[None, :, None, None]
+
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (9, 3, 4, 6), (2, 3, 32, 32)], ids=str)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_naive_formula_bit_for_bit(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
+        for stats in (
+            ChannelStats(rng.uniform(0, 255, 3), rng.uniform(0.1, 100, 3)),
+            ChannelStats(rng.uniform(0, 255, 3), [0.0, 3.0, 70.0], eps=1e-8),
+            ChannelStats.from_images(pixels if pixels.ndim == 4 else pixels[None]),
+        ):
+            out = standardize(pixels, stats).data
+            assert out.shape == shape and out.tobytes() == self.naive(pixels, stats).tobytes()
+
+    @pytest.mark.parametrize("per_image", [False, True], ids=["dataset-stats", "per-image"])
+    @pytest.mark.parametrize("bad", [2.5, 300, np.nan], ids=str)
+    def test_non_byte_pixels_rejected_as_lookup_rejects_them(self, bad, per_image):
+        images = np.full((2, 3, 4, 4), 7.0)
+        images[1, 0, 2, 3] = bad
+        stats = ChannelStats([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+        with pytest.raises(ValueError) as from_lookup:
+            lookup(images, init_tables("full", 1, seed=0))
+        assert "(1, 0, 2, 3)" in str(from_lookup.value)
+        for code in (lambda: StandardizeStage(stats=stats, per_image=per_image).apply(images),
+                     lambda: standardize(images, stats)):
+            with pytest.raises(ValueError) as from_stage:
+                code()
+            assert str(from_stage.value) == str(from_lookup.value)
+
     def test_stage_batches_per_image(self):
         rng = np.random.default_rng(3)
         images = rng.integers(0, 256, size=(4, 3, 8, 8)).astype(np.uint8)
@@ -172,6 +210,49 @@ class TestStandardize:
         coded = stage.apply(images).data
         single = standardize(images[2], ChannelStats.of_image(images[2], eps=1e-8)).data
         assert np.allclose(coded[2], single)
+
+
+class TestChannelStats:
+    """The stats reduce the bytes themselves; the bits must be those of
+    reducing a float64 copy of them."""
+
+    @staticmethod
+    def all_values(shape):
+        # every byte value at least once in each channel
+        values = np.resize(np.arange(256, dtype=np.uint8), (shape[0] * shape[-2] * shape[-1], 3))
+        return np.random.default_rng(0).permuted(values, axis=0).T.reshape(3, shape[0], *shape[-2:])
+
+    @staticmethod
+    def assert_bits_of_float_copy(stats, images, axes):
+        pixels = images.astype(np.float64)
+        assert stats.mean.tobytes() == pixels.mean(axis=axes).tobytes()
+        assert stats.std.tobytes() == pixels.std(axis=axes).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 3, 1, 1), (7, 3, 5, 3), (13, 3, 31, 17), (64, 3, 32, 32), (500, 3, 32, 32)], ids=str
+    )
+    def test_dataset_stats_match_float_copy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        sets = [rng.integers(0, 256, size=shape).astype(np.uint8)]
+        if shape[0] * shape[2] * shape[3] >= 256:
+            sets.append(np.ascontiguousarray(self.all_values(shape).transpose(1, 0, 2, 3)))
+        for images in sets:
+            self.assert_bits_of_float_copy(ChannelStats.from_images(images), images, (0, 2, 3))
+
+    @pytest.mark.parametrize("per_class", [7, 64])
+    @pytest.mark.parametrize("kind", ["separable", "striped"])
+    def test_palette_set_stats_match_float_copy(self, kind, per_class):
+        images = make_synthetic(kind, per_class, 10, 32, 32, seed=per_class).images
+        self.assert_bits_of_float_copy(ChannelStats.from_images(images), images, (0, 2, 3))
+
+    @pytest.mark.parametrize("size", [(1, 1), (5, 3), (31, 17), (32, 32)], ids=str)
+    def test_image_stats_match_float_copy(self, size):
+        rng = np.random.default_rng(size[0])
+        images = [rng.integers(0, 256, size=(3, *size)).astype(np.uint8)]
+        if size[0] * size[1] >= 256:
+            images.append(np.ascontiguousarray(self.all_values((1, 3, *size))[:, 0]))
+        for image in images:
+            self.assert_bits_of_float_copy(ChannelStats.of_image(image), image, (1, 2))
 
 
 class TestBaselineEquivalence:
@@ -186,9 +267,10 @@ class TestBaselineEquivalence:
 
         baseline_in = StandardizeStage(stats=stats).apply(images)
         table_in = lookup(images, tables).values
+        assert np.array_equal(baseline_in.data, table_in.data)
         baseline_logits = forward(model, baseline_in).data
         table_logits = forward(model, table_in).data
-        assert np.max(np.abs(baseline_logits - table_logits)) <= 1e-9
+        assert np.array_equal(baseline_logits, table_logits)
 
     def test_architecture_parity_only_first_layer_changes(self):
         base = build_model(small_config(input_channels=3, seed=0))
