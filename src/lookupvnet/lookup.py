@@ -109,10 +109,10 @@ def init_tables(kind, value, seed):
 
 @dataclass
 class LookupResult:
-    """Coded pixels plus the integer indices cached for the backward pass."""
+    """Coded pixels plus the byte-valued row indices cached for the backward pass."""
 
-    values: Tensor  # [N, 3u, H, W] full / [N, 3, H, W] compressed
-    indices: np.ndarray  # [N, 3, H, W] row indices actually gathered
+    values: Tensor  # [N, 3u, H, W] view of a plane-major [3u, N, H, W] array
+    indices: np.ndarray  # [N, 3, H, W] rows v // c: the uint8 images at c = 1, else uint16
 
 
 def lookup(images, tables):
@@ -125,23 +125,22 @@ def lookup(images, tables):
     images = byte_batch(images)
     n, _, h, w = images.shape
 
-    indices = images.astype(np.int32)
-    if tables.c > 1:
-        # not //= in place: freeing the int32 copy at once lifts glibc's mmap
-        # threshold; in place, batch-256 c=16 lookups measured 2x slower
-        indices = indices // tables.c
+    # rows v // c stay byte-valued (uint16: numpy rejects uint8 // 256) and below
+    # ceil(256/c), so take(mode="clip") never clips and, unlike "raise", writes in place
+    indices = images if tables.c == 1 else images // np.uint16(tables.c)
     width = tables.u
-    out = np.empty((n, 3 * width, h, w))
+    planes = np.empty((3 * width, n, h, w))
+    idx = np.empty((n, h, w), dtype=np.intp)  # converted once per channel, not per plane
     for ch, table in enumerate(tables.tables):
+        idx[...] = indices[:, ch]
         columns = np.ascontiguousarray(table.data.reshape(-1, width).T)  # [width, rows]
         for k in range(width):
-            # take() fills each output plane in place: no [N,H,W,u] temporary
-            np.take(columns[k], indices[:, ch], out=out[:, ch * width + k])
+            np.take(columns[k], idx, out=planes[ch * width + k], mode="clip")
 
     def vjp(g):
         return lookup_backward(g, indices, tables)
 
-    values = Tensor(out, parents=tuple(tables.tables), vjp=vjp, op="lookup")
+    values = Tensor(planes.transpose(1, 0, 2, 3), parents=tuple(tables.tables), vjp=vjp, op="lookup")
     return LookupResult(values=values, indices=indices)
 
 
@@ -153,10 +152,11 @@ def lookup_backward(upstream, indices, tables):
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     width = tables.u
+    idx = np.empty(indices[:, 0].shape, dtype=np.intp)  # converted once per channel, not per bincount
     grads = []
     for ch, table in enumerate(tables.tables):
-        idx, rows = indices[:, ch].ravel(), table.data.shape[0]
-        planes = [np.bincount(idx, weights=upstream[:, ch * width + k].ravel(), minlength=rows)
+        idx[...], rows = indices[:, ch], table.data.shape[0]
+        planes = [np.bincount(idx.ravel(), weights=upstream[:, ch * width + k].ravel(), minlength=rows)
                   for k in range(width)]
         grads.append(np.stack(planes, axis=-1).reshape(table.data.shape))
     return tuple(grads)

@@ -183,15 +183,15 @@ def standardize(image, stats):
     """(pixel - mean) / std per channel; the manually designed linear coding.
 
     Pixels are bytes, so each channel gathers its values from a 256-entry
-    ramp into one float64 output: the same bits as the formula applied
-    pixel by pixel, without a float64 copy of the batch.
+    ramp into one plane of a plane-major float64 output, as lookup does:
+    the same bits as the formula, without a float64 copy of the batch.
     """
     pixels = byte_batch(image)
     ramps = _standardizing_ramps(stats)
-    out = np.empty(pixels.shape)
+    planes = np.empty((3, *pixels[:, 0].shape))
     for ch in range(3):
-        np.take(ramps[ch], pixels[:, ch], out=out[:, ch])
-    return Tensor(out[0] if np.ndim(image) == 3 else out, op="standardize")
+        np.take(ramps[ch], pixels[:, ch], out=planes[ch], mode="clip")  # bytes never clip
+    return Tensor(planes[:, 0] if np.ndim(image) == 3 else planes.transpose(1, 0, 2, 3), op="standardize")
 
 
 class StandardizeStage:

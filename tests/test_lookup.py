@@ -1,6 +1,8 @@
 """Color table stage: sizes, index mapping, gather forward, scatter-add
 backward, and the adjointness/permutation/collapse properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,39 @@ class TestLookupForward:
         images = np.random.default_rng(3).integers(0, 256, size=(2, 3, 4, 4))
         want = lookup(images.astype(np.uint8), tables).values.data
         assert np.array_equal(lookup(images.astype(np.float64), tables).values.data, want)
+
+    @pytest.mark.parametrize(
+        "kind,value", [("full", 1), ("full", 4), ("compressed", 1), ("compressed", 16), ("compressed", 256)]
+    )
+    def test_indices_are_byte_valued(self, kind, value):
+        images = np.random.default_rng(14).integers(0, 256, size=(2, 3, 5, 4)).astype(np.uint8)
+        tables = init_tables(kind, value, seed=0)
+        indices = lookup(images, tables).indices
+        assert indices.dtype.kind == "u" and indices.dtype.itemsize <= 2
+        assert np.array_equal(indices, images.astype(np.int64) // tables.c)
+        if tables.c == 1:
+            assert indices is images  # the images themselves, no copy
+
+    def test_rate_256_maps_every_byte_to_row_0(self):
+        tables = CompressedLookupTables(256, [np.array([v]) for v in (1.5, -2.0, 0.25)])
+        images = np.broadcast_to(np.arange(256, dtype=np.uint8).reshape(1, 1, 16, 16), (1, 3, 16, 16))
+        result = lookup(images, tables)
+        assert not result.indices.any()
+        for ch, v in enumerate((1.5, -2.0, 0.25)):
+            assert np.all(result.values.data[0, ch] == v)
+
+    def test_u4_batch256_peak_is_output_plus_two_index_planes(self):
+        images = np.random.default_rng(15).integers(0, 256, size=(256, 3, 32, 32)).astype(np.uint8)
+        tables = init_tables("full", 4, seed=0)
+        output = 12 * images[:, 0].size * 8
+        index_plane = images[:, 0].size * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            lookup(images, tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= output + 2 * index_plane, f"lookup peaked at {peak / 2**20:.1f} MiB"
 
     def test_permutation_consistency(self):
         """Swapping two color rows and recoloring the image is a no-op."""

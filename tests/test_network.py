@@ -7,7 +7,7 @@ import pytest
 from lookupvnet import gradcore
 from lookupvnet.data import make_synthetic
 from lookupvnet.gradcore import ShapeMismatchError, Tensor, backward, softmax_cross_entropy
-from lookupvnet.lookup import init_tables, lookup
+from lookupvnet.lookup import init_tables, lookup, lookup_backward
 from lookupvnet.network import (
     ChannelStats,
     ConvSpec,
@@ -138,6 +138,41 @@ class TestReluAfterPool:
         want = backward(softmax_cross_entropy(reference, labels))
         for leaf in (x, *model.params.values()):
             assert np.array_equal(grads[leaf], want[leaf])
+
+
+class TestPlaneMajorInput:
+    """lookup returns an [N, 3u, H, W] view of a plane-major array; conv0
+    must read it as it reads a contiguous copy."""
+
+    @pytest.mark.parametrize("kind,value", [("full", 4), ("compressed", 16)])
+    def test_lookup_view_matches_contiguous_copy(self, kind, value):
+        # the desk model: at u=4 conv0 unrolls 2 images per block, so 5 images make 3 blocks
+        tables = init_tables(kind, value, seed=3)
+        cfg = ModelConfig(
+            input_channels=tables.output_channels,
+            conv_blocks=tuple(ConvSpec(kernel=3, filters=j, pool=True) for j in (8, 16, 16)),
+            head_width=64,
+            class_count=10,
+            input_size=(32, 32),
+            seed=5,
+        )
+        model = build_model(cfg)
+        rng = np.random.default_rng(8)
+        images = rng.integers(0, 256, size=(5, 3, 32, 32)).astype(np.uint8)
+        labels = rng.integers(0, 10, size=5)
+        result = lookup(images, tables)
+        assert not result.values.data.flags.c_contiguous
+        copy = Tensor(np.ascontiguousarray(result.values.data), requires_grad=True)
+
+        logits = forward(model, result.values)
+        want_logits = forward(model, copy)
+        assert logits.data.tobytes() == want_logits.data.tobytes()
+        grads = backward(softmax_cross_entropy(logits, labels))
+        want = backward(softmax_cross_entropy(want_logits, labels))
+        for param in model.params.values():
+            assert grads[param].tobytes() == want[param].tobytes()
+        for table, grad in zip(tables.tables, lookup_backward(want[copy], result.indices, tables)):
+            assert grads[table].tobytes() == grad.tobytes()
 
 
 class TestStandardize:
