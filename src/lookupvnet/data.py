@@ -206,7 +206,7 @@ def augment(image, spec, rng):
 def augment_batch(images, spec, rng):
     if not spec.enabled:
         return images
-    images = np.asarray(images, dtype=np.uint8)
+    images = byte_batch(images)
     n, _, h, w = images.shape
     th, tw = spec.crop if spec.crop is not None else (h, w)
     if th > h + 2 * spec.pad or tw > w + 2 * spec.pad:

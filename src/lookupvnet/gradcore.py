@@ -165,7 +165,12 @@ def _im2col(x, k, stride):
 
 def conv2d(x, kernels, stride=1, padding=0):
     """2-D cross-correlation of [N,C,H,W] input with [J,C,k,k] kernels; the
-    vjp returns ``None`` for an input that needs no gradient."""
+    vjp returns ``None`` for an input that needs no gradient.
+
+    The input gradient also multiplies the kernels by zero columns, so an
+    inf or NaN kernel entry (inf * 0 is NaN) can make a few more of its
+    entries NaN than the plain adjoint would; training stops on the
+    non-finite loss such a kernel gives before any backward pass runs."""
     xd, kd = x.data, kernels.data
     if xd.ndim != 4 or kd.ndim != 4 or kd.shape[2] != kd.shape[3] or xd.shape[1] != kd.shape[1]:
         raise ShapeMismatchError(
@@ -201,25 +206,41 @@ def conv2d(x, kernels, stride=1, padding=0):
 
     def vjp(g):
         go = g.reshape(n, j, ho * wo)
-        # im2col's adjoint with no (N, C*k*k, P) buffer: one matmul per kernel
-        # offset. Each [C,J] block goes to BLAS transposed, as in wmat.T @ go,
-        # which keeps that product's summation order and so its exact bits.
-        w_offsets = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # [k,k,J,C]
-        gx = np.zeros((n, c, hp, wp)) if needs_gx else None
         grad_w = np.empty((n, j, c * k * k))
         for b in blocks:
-            # only the last block's patches were kept; rebuild the others
+            # only the last block's patches were kept; rebuild the others, all
+            # before gx exists, so no rebuilt block is alive beside it
             cols = last_cols if b is blocks[-1] else _im2col(xp[b], k, stride)
             np.matmul(go[b], cols.transpose(0, 2, 1), out=grad_w[b])
-            if not needs_gx:
-                continue
-            for ki in range(k):
-                for kj in range(k):
-                    view = gx[b, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
-                    view += np.matmul(w_offsets[ki, kj].T, go[b]).reshape(view.shape)
         grad_w = grad_w.sum(axis=0).reshape(kd.shape)
         if not needs_gx:
             return None, grad_w
+        # im2col's adjoint on flat padded planes, each padded to stride*q
+        # entries: output (py, px) of offset (ki, kj) lands at
+        # stride*(py*wp + px) + ki*wp + kj. With g widened to wp columns, each
+        # block and offset is one matmul and one step-stride 1-D add over the
+        # block's planes; the products of the zero columns, and the zero slots
+        # past span, add only +0.0 (a sum begun at +0.0 is never -0.0). Each
+        # [C,J] block goes to BLAS transposed, as in wmat.T @ go, which keeps
+        # that product's summation order and so its exact bits. (With C = 1
+        # numpy calls gemv instead, which rounds its last few outputs by span.)
+        q = -(-hp * wp // stride)
+        span = (ho - 1) * wp + wo
+        w_offsets = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # [k,k,J,C]
+        gx = np.zeros((n, c, stride * q))
+        wide = np.zeros((min(per_block, n), j, ho, wp))
+        prod = np.zeros((min(per_block, n), c, q))
+        for b in blocks:
+            nb = b.stop - b.start
+            wide[:nb, :, :, :wo] = g[b]
+            g_flat = wide[:nb].reshape(nb, j, ho * wp)[:, :, :span]
+            prod_flat, gx_flat = prod[:nb].reshape(-1), gx[b].reshape(-1)
+            for ki in range(k):
+                for kj in range(k):
+                    np.matmul(w_offsets[ki, kj].T, g_flat, out=prod[:nb, :, :span])
+                    dest = gx_flat[ki * wp + kj :: stride]
+                    dest += prod_flat[: dest.size]  # the cut tail is all zeros
+        gx = gx[:, :, : hp * wp].reshape(n, c, hp, wp)
         return gx[:, :, padding : hp - padding, padding : wp - padding], grad_w
 
     return Tensor(out, parents=(x, kernels), vjp=vjp, op="conv2d")

@@ -78,11 +78,13 @@ class TestTrain:
         assert str(path) in err and "truncated" in err
 
     def test_huge_learning_rate_exits_2_naming_the_epoch(self, tmp_path, capsys):
-        # every train loss stays finite; epoch 1's test loss is nan
-        code, out, err = run(
-            capsys, "train", "--classes", "2", "--per-class", "16", "--image-size", "8",
-            "--filters", "8", "--epochs", "2", "--lr", "1e30", "--out", str(tmp_path / "run"),
-        )
+        # every train loss stays finite; epoch 1's test loss is nan, and the
+        # overflowing dense layer warns on the way
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run(
+                capsys, "train", "--classes", "2", "--per-class", "16", "--image-size", "8",
+                "--filters", "8", "--epochs", "2", "--lr", "1e30", "--out", str(tmp_path / "run"),
+            )
         assert code == 2
         assert "final test accuracy" not in out
         assert "test loss nan after epoch 1" in err

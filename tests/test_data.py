@@ -204,6 +204,15 @@ class TestAugment:
         spec = AugmentSpec(pad=4, hflip_prob=1.0, enabled=False)
         assert augment_batch(images, spec, rng) is images
 
+    # np.asarray(..., dtype=np.uint8) would wrap -1 to 255 and 300 to 44 and
+    # truncate 12.7 to 12, and lookup would then accept the wrapped bytes
+    @pytest.mark.parametrize("bad", [np.int64(-1), np.int64(300), 12.7], ids=["int-1", "int300", "float12.7"])
+    def test_non_byte_pixel_is_rejected_naming_it(self, bad):
+        images = np.full((2, 3, 4, 4), 9, dtype=np.asarray(bad).dtype)
+        images[1, 0, 2, 3] = bad
+        with pytest.raises(ValueError, match=rf"pixel {bad} at \(1, 0, 2, 3\)"):
+            augment_batch(images, AugmentSpec(pad=2), np.random.default_rng(6))
+
     def test_output_stays_byte_and_label_free(self):
         rng = np.random.default_rng(4)
         images = rng.integers(0, 256, size=(4, 3, 8, 8)).astype(np.uint8)
