@@ -228,8 +228,15 @@ def conv2d(x, kernels, stride=1, padding=0):
         span = (ho - 1) * wp + wo
         w_offsets = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # [k,k,J,C]
         gx = np.zeros((n, c, stride * q))
-        wide = np.zeros((min(per_block, n), j, ho, wp))
-        prod = np.zeros((min(per_block, n), c, q))
+        # The block buffers come from np.empty, with only the entries that
+        # must stay zero cleared. As np.zeros they left peak RSS to where
+        # transparent huge pages fell in the heap: 70.5, 74 or 77.3 MB from
+        # run to run on baseline-aug-b64 (2-core Xeon, THP "madvise"), and
+        # 69.4-69.6 MB over 10 runs as they are now.
+        wide = np.empty((min(per_block, n), j, ho, wp))
+        prod = np.empty((min(per_block, n), c, q))
+        wide[..., wo:] = 0.0
+        prod[..., span:] = 0.0
         for b in blocks:
             nb = b.stop - b.start
             wide[:nb, :, :, :wo] = g[b]
