@@ -80,6 +80,8 @@ class LabeledImageSet:
 def load_cifar10_binary(path, limit=None):
     """One file of 3073-byte records -> images [M,3,32,32] plus labels."""
     raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size == 0:
+        raise DatasetFormatError(f"{path}: holds no records")
     if raw.size % CIFAR10_RECORD != 0:
         raise DatasetFormatError(
             f"{path}: truncated at byte {raw.size} (records are {CIFAR10_RECORD} bytes)"

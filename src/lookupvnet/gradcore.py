@@ -4,7 +4,8 @@ Provides exactly the operations the color-table networks need (2-D
 cross-correlation, affine layers, relu, max pooling, softmax cross
 entropy, a few elementwise helpers) plus a central-difference oracle
 for verifying gradients. All math is double precision; graphs are
-built dynamically and are single-threaded.
+built dynamically. Recording and backward run on the calling thread;
+conv2d's image blocks run on every CPU the process may use.
 
 Only gradients a learnable leaf reads are computed: ``requires_grad``
 flows forward from the leaves, backward calls no vjp of a node that needs
@@ -14,6 +15,8 @@ Inside ``no_grad()`` the ops record no graph at all.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -141,15 +144,70 @@ def relu(x):
     return Tensor(np.where(mask, x.data, 0.0), parents=(x,), vjp=lambda g: (g * mask,), op="relu")
 
 
-# Upper bound on the im2col patches conv2d unrolls at once: the whole 2 MiB
-# per-core L2 of the Xeon (model 143) it was measured on, and well under the
-# 32 MiB ceiling of glibc's dynamic mmap threshold, so freed blocks are
-# reused from the heap, not mapped afresh.
+# Upper bound on the im2col patches of one block. conv2d keeps one block per
+# core in flight, each in half of that core's own 4 MiB L2 on the Xeon (model
+# 143) it was measured on, and well under the 32 MiB ceiling of glibc's
+# dynamic mmap threshold, so freed blocks are reused from the heap, not mapped
+# afresh.
 _BLOCK_BYTES = 2 << 20
 
 
-def _im2col(x, k, stride):
-    # x: padded [N,C,H,W] -> [N, C*k*k, Ho*Wo]; logical axis order (C, ki, kj)
+# conv2d splits its images into at most this many contiguous runs of blocks,
+# one per CPU: the calling thread runs the last run, and a pool of
+# _WORKERS - 1 threads, made on first use, runs the others.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None
+
+
+def _forget_pool():
+    global _pool
+    _pool = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _multiply(box):
+    # Pops one run's jobs from box; each job (dst, src, a, b, out) copies src
+    # into dst, unless dst is None, then multiplies a @ b into out. The pool's
+    # work item keeps its arguments after the call, so popping leaves the
+    # calling thread to free every array and view a job holds. When worker
+    # threads made and dropped their own views, glibc's per-thread caches
+    # mixed small blocks into the calling thread's heap in a timing-dependent
+    # order, and the baseline's peak RSS read 70-82 MB from run to run.
+    for dst, src, a, b, out in box.pop():
+        if dst is not None:
+            np.copyto(dst, src)
+        np.matmul(a, b, out=out)
+
+
+def _each_run(make_jobs, count):
+    """_multiply the jobs make_jobs(r) for r < count: the last run on the
+    calling thread, the others on the pool. make_jobs runs on the calling
+    thread, which holds every run's jobs until all are done; re-raises any
+    error."""
+    global _pool
+    if count == 1:
+        return _multiply([make_jobs(0)])
+    if _pool is None:  # two first calls at once may each make one; both work
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="conv2d")
+    held, pending = [], []
+    for r in range(count - 1):
+        held.append(make_jobs(r))
+        pending.append(_pool.submit(_multiply, [held[-1]]))
+    try:
+        _multiply([make_jobs(count - 1)])
+    finally:
+        wait(pending)
+    for f in pending:
+        f.result()
+
+
+def _patches(x, k, stride, buf):
+    """Views (dst, src, cols) for unrolling padded [N,C,H,W] x into buf[:N]:
+    copying src into dst fills cols, [N, C*k*k, Ho*Wo] in logical axis order
+    (C, ki, kj)."""
     n, c, h, w = x.shape
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
@@ -160,7 +218,14 @@ def _im2col(x, k, stride):
         strides=(sn, sc, sh, sw, stride * sh, stride * sw),
         writeable=False,
     )
-    return windows.reshape(n, c * k * k, ho * wo)
+    cols = buf[:n]
+    return cols.reshape(windows.shape), windows, cols
+
+
+def _buffers(runs, shape, skip=None):
+    """One empty patch buffer per run, as large as its first block, the
+    largest (None for a run whose only block is skip)."""
+    return [None if run[0] is skip else np.empty((run[0].stop - run[0].start, *shape)) for run in runs]
 
 
 def conv2d(x, kernels, stride=1, padding=0):
@@ -190,14 +255,31 @@ def conv2d(x, kernels, stride=1, padding=0):
 
     xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
     # Unroll a few images at a time. Stacked matmuls make one BLAS call per
-    # image, so every block split gives the same bits as the whole batch.
+    # image, so every block split, and so every run count, gives the same
+    # bits as the whole batch. The runs are near-equal contiguous image
+    # ranges, each cut into blocks, with one patch buffer per run.
     per_block = max(1, _BLOCK_BYTES // (c * k * k * ho * wo * xp.itemsize))
-    blocks = [slice(i, min(i + per_block, n)) for i in range(0, n, per_block)]
+    n_runs = min(_WORKERS, -(-n // per_block))
+    cuts = [n * r // n_runs for r in range(n_runs + 1)]
+    runs = [
+        [slice(i, min(i + per_block, hi)) for i in range(lo, hi, per_block)]
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    last = runs[-1][-1]
     wmat = kd.reshape(j, c * k * k)
     out = np.empty((n, j, ho * wo))
-    for b in blocks:
-        last_cols = _im2col(xp[b], k, stride)
-        np.matmul(wmat, last_cols, out=out[b])
+    bufs = _buffers(runs, (c * k * k, ho * wo))
+
+    def forward_jobs(r):
+        jobs = []
+        for b in runs[r]:
+            dst, src, cols = _patches(xp[b], k, stride, bufs[r])
+            jobs.append((dst, src, wmat, cols, out[b]))
+        return jobs
+
+    _each_run(forward_jobs, n_runs)
+    # the last run ends on the last block, whose patches backward reuses
+    last_cols = bufs[-1][: last.stop - last.start]
     out = out.reshape(n, j, ho, wo)
     _tally(n * ho * wo * j * (2 * k * k * c + 1))
 
@@ -207,11 +289,19 @@ def conv2d(x, kernels, stride=1, padding=0):
     def vjp(g):
         go = g.reshape(n, j, ho * wo)
         grad_w = np.empty((n, j, c * k * k))
-        for b in blocks:
-            # only the last block's patches were kept; rebuild the others, all
-            # before gx exists, so no rebuilt block is alive beside it
-            cols = last_cols if b is blocks[-1] else _im2col(xp[b], k, stride)
-            np.matmul(go[b], cols.transpose(0, 2, 1), out=grad_w[b])
+        # rebuild every block but the last into per-run buffers, all freed
+        # before gx exists, so no rebuilt block is alive beside it
+        bufs = _buffers(runs, (c * k * k, ho * wo), skip=last)
+
+        def kernel_grad_jobs(r):
+            jobs = []
+            for b in runs[r]:
+                dst, src, cols = (None, None, last_cols) if b is last else _patches(xp[b], k, stride, bufs[r])
+                jobs.append((dst, src, go[b], cols.transpose(0, 2, 1), grad_w[b]))
+            return jobs
+
+        _each_run(kernel_grad_jobs, n_runs)
+        del bufs
         grad_w = grad_w.sum(axis=0).reshape(kd.shape)
         if not needs_gx:
             return None, grad_w
@@ -228,6 +318,7 @@ def conv2d(x, kernels, stride=1, padding=0):
         span = (ho - 1) * wp + wo
         w_offsets = np.ascontiguousarray(kd.transpose(2, 3, 0, 1))  # [k,k,J,C]
         gx = np.zeros((n, c, stride * q))
+        blocks = [b for run in runs for b in run]
         # The block buffers come from np.empty, with only the entries that
         # must stay zero cleared. As np.zeros they left peak RSS to where
         # transparent huge pages fell in the heap: 70.5, 74 or 77.3 MB from

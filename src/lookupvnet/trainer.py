@@ -134,8 +134,14 @@ def _batch_step(model, stage, images, labels, plan, optim, lr, where):
     return loss_value, hits
 
 
+def _require_images(role, dataset):
+    if dataset is not None and len(dataset) == 0:
+        raise ValueError(f"{role} set {dataset.name!r} holds no images")
+
+
 def _eval_loss_acc(model, stage, dataset, batch_size=256):
     # no tape: each activation is freed once the next op has read it
+    _require_images("evaluation", dataset)
     total_loss, hits = 0.0, 0
     with gradcore.no_grad():
         for images, labels in batch_iter(dataset, batch_size):
@@ -169,6 +175,8 @@ def evaluate(model, stage, dataset, batch_size=256):
 
 def train_single(model, stage, train_set, plan, optim, test_set=None, timer=time.perf_counter):
     """Joint optimization of one network and its input stage."""
+    _require_images("train", train_set)
+    _require_images("test", test_set)
     metrics = Metrics()
     for epoch in range(plan.epochs):
         start = timer()
@@ -194,6 +202,9 @@ def train_single(model, stage, train_set, plan, optim, test_set=None, timer=time
 
 
 def _alternating(model_f, model_g, tables, streams, plan, optim_f, optim_g, test_sets, timer, step_hook):
+    for stream, test_set in zip(streams, test_sets):
+        _require_images("train", stream)
+        _require_images("test", test_set)
     metrics_f, metrics_g = Metrics(), Metrics()
     sides = (
         ("f", model_f, optim_f, metrics_f),
@@ -236,16 +247,7 @@ def _alternating(model_f, model_g, tables, streams, plan, optim_f, optim_g, test
             test_loss, test_acc = _end_epoch(
                 active_model, tables, test_sets[i], plan.freeze_tables, f"epoch {epoch} net {name}"
             )
-            metric.rows.append(
-                EpochRow(
-                    epoch,
-                    loss_sum / seen if seen else float("nan"),
-                    hits / seen if seen else float("nan"),
-                    test_loss,
-                    test_acc,
-                    elapsed,
-                )
-            )
+            metric.rows.append(EpochRow(epoch, loss_sum / seen, hits / seen, test_loss, test_acc, elapsed))
     return metrics_f, metrics_g
 
 

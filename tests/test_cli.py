@@ -345,3 +345,13 @@ class TestDatasetSpecs:
         )
         assert code == 2
         assert str(path) in err and "missing" in err
+
+    def test_empty_cifar_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        code, _, err = run(
+            capsys, "train", "--dataset", f"cifar10:{path}", "--epochs", "1",
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert f"{path}: holds no records" in err

@@ -1,5 +1,7 @@
 """Dataset loading, augmentation, synthetic generation, and batching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,12 @@ class TestCifarLoader:
         with open(path, "wb") as fh:
             fh.write(bytes(CIFAR10_RECORD + 10))
         with pytest.raises(DatasetFormatError, match=str(CIFAR10_RECORD + 10)):
+            load_cifar10_binary(path)
+
+    def test_empty_file_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: holds no records")):
             load_cifar10_binary(path)
 
     def test_bad_label_reports_record_offset(self, tmp_path):

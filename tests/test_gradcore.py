@@ -2,6 +2,10 @@
 mode against central finite differences."""
 
 import functools
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -290,6 +294,104 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak <= x.data.nbytes + 2**20, f"conv2d vjp peaked at {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize(
+        "x_shape,j,stride,padding",
+        [
+            ((7, 12, 32, 32), 8, 1, 0),
+            ((64, 8, 15, 15), 16, 1, 0),
+            ((1, 12, 32, 32), 8, 1, 0),
+            ((64, 5, 33, 31), 6, 2, 1),
+        ],
+        ids=["ragged-runs", "conv1", "one-image", "stride2-pad1"],
+    )
+    def test_same_bits_and_flops_for_every_worker_count(self, monkeypatch, x_shape, j, stride, padding):
+        # 3 workers is more than the runs of a one-block call and, for
+        # (7, 12, 32, 32) in blocks of 2 images, gives runs of 2, 2 and 2 + 1
+        rng = np.random.default_rng(79)
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(j, x_shape[1], 3, 3))
+        g = None
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(gradcore, "_WORKERS", workers)
+            with gradcore.count_flops() as counter:
+                out = conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, padding=padding)
+            g = rng.normal(size=out.data.shape) if g is None else g
+            gx, gw = out.vjp(g)
+            results.append((out.data.tobytes(), gx.tobytes(), gw.tobytes(), counter.flops))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_forward_peak_is_output_plus_one_block_per_worker(self, monkeypatch):
+        # the calling thread allocates one patch buffer per run; the workers
+        # only copy into it and multiply into their slices of out
+        monkeypatch.setattr(gradcore, "_WORKERS", 2)
+        rng = np.random.default_rng(83)
+        x = Tensor(rng.normal(size=(64, 12, 32, 32)))
+        w = Tensor(rng.normal(size=(8, 12, 3, 3)))
+        conv2d(x, w)  # the pool's threads exist before the trace starts
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        limit = out.data.nbytes + 2 * gradcore._BLOCK_BYTES + 2**20
+        assert peak <= limit, f"conv2d forward peaked at {peak / 2**20:.2f} MiB"
+
+    def test_concurrent_callers_get_serial_bits(self, monkeypatch):
+        # more runs than cores, a short switch interval and two calling
+        # threads sharing one pool: a lost run, or one writing another's
+        # slice, would change the bytes of some call
+        rng = np.random.default_rng(89)
+        x = rng.normal(size=(7, 12, 32, 32))
+        w = rng.normal(size=(8, 12, 3, 3))
+        g = rng.normal(size=(7, 8, 30, 30))
+
+        def call():
+            out = conv2d(Tensor(x, requires_grad=True), Tensor(w))
+            gx, gw = out.vjp(g)
+            return out.data.tobytes() + gx.tobytes() + gw.tobytes()
+
+        monkeypatch.setattr(gradcore, "_WORKERS", 1)
+        want = call()
+        monkeypatch.setattr(gradcore, "_WORKERS", 3)
+        monkeypatch.setattr(gradcore, "_pool", None)
+        results = []
+
+        def caller():
+            results.extend(call() == want for _ in range(20))
+
+        threads = [threading.Thread(target=caller) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            gradcore._pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert results == [True] * 40
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_splits_blocks_on_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(gradcore, "_WORKERS", 2)
+        x, w = Tensor(np.ones((7, 12, 32, 32))), Tensor(np.ones((8, 12, 3, 3)))
+        conv2d(x, w)  # the parent's pool exists when the child is forked
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: os._exit(0 if np.all(conv2d(x, w).data == 108.0) else 1)
+        )
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
 
     @settings(max_examples=40, deadline=None)
     @given(

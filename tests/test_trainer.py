@@ -270,6 +270,42 @@ class TestEvaluate:
         assert acc == frequency
 
 
+class TestEmptySets:
+    """An empty set is named in a ValueError, before any step runs."""
+
+    @staticmethod
+    def empty_set():
+        return LabeledImageSet(np.zeros((0, 3, 8, 8), np.uint8), np.zeros(0, np.int64), 2, name="none")
+
+    def test_evaluate_names_the_empty_set(self):
+        model, tables = tiny_setup(seed=3)
+        with pytest.raises(ValueError, match="evaluation set 'none' holds no images"):
+            evaluate(model, tables, self.empty_set())
+
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_train_single_names_the_empty_set(self, role):
+        model, tables = tiny_setup(seed=3)
+        data = make_synthetic("separable", 4, 2, 8, 8, seed=3)
+        sets = {"train": data, "test": data, role: self.empty_set()}
+        before = {n: t.data.copy() for n, t in model.parameters().items()}
+        with pytest.raises(ValueError, match=f"{role} set 'none' holds no images"):
+            train_single(model, tables, sets["train"], TrainPlan(epochs=1, batch_size=4, seed=3),
+                         OptimState(lr=0.05), test_set=sets["test"], timer=FIXED_CLOCK)
+        assert all(np.array_equal(model.params[n].data, v) for n, v in before.items())
+
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_cross_task_names_the_empty_set(self, role):
+        model_f, tables = tiny_setup(seed=4)
+        model_g = build_model(tiny_config(3, seed=5))
+        data = make_synthetic("separable", 4, 2, 8, 8, seed=4)
+        sets = {"train": data, "test": data, role: self.empty_set()}
+        with pytest.raises(ValueError, match=f"{role} set 'none' holds no images"):
+            train_cross_task(model_f, model_g, tables, data, sets["train"],
+                             TrainPlan(epochs=1, batch_size=4, seed=4),
+                             OptimState(lr=0.05), OptimState(lr=0.05),
+                             test_p=data, test_q=sets["test"], timer=FIXED_CLOCK)
+
+
 def taped_loss_acc(model, stage, dataset, batch_size=256):
     """The scoring loop with a full tape, as it ran before tape-free scoring."""
     total_loss, hits = 0.0, 0
