@@ -5,7 +5,9 @@ cross-correlation, affine layers, relu, max pooling, softmax cross
 entropy, a few elementwise helpers) plus a central-difference oracle
 for verifying gradients. All math is double precision; graphs are
 built dynamically. Recording and backward run on the calling thread;
-conv2d's image blocks run on every CPU the process may use.
+conv2d's image blocks run on every CPU the process may use, and when its
+vjp forms an input gradient, a pool thread forms the kernel gradient
+beside it.
 
 Only gradients a learnable leaf reads are computed: ``requires_grad``
 flows forward from the leaves, backward calls no vjp of a node that needs
@@ -154,7 +156,9 @@ _BLOCK_BYTES = 2 << 20
 
 # conv2d splits its images into at most this many contiguous runs of blocks,
 # one per CPU: the calling thread runs the last run, and a pool of
-# _WORKERS - 1 threads, made on first use, runs the others.
+# _WORKERS - 1 threads, made on first use, runs the others. A vjp that forms
+# the input gradient on the calling thread hands one pool thread every
+# kernel-gradient block instead.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = None
 
@@ -170,38 +174,43 @@ if hasattr(os, "register_at_fork"):
 
 def _multiply(box):
     # Pops one run's jobs from box; each job (dst, src, a, b, out) copies src
-    # into dst, unless dst is None, then multiplies a @ b into out. The pool's
-    # work item keeps its arguments after the call, so popping leaves the
-    # calling thread to free every array and view a job holds. When worker
-    # threads made and dropped their own views, glibc's per-thread caches
-    # mixed small blocks into the calling thread's heap in a timing-dependent
-    # order, and the baseline's peak RSS read 70-82 MB from run to run.
+    # into dst, unless dst is None, then multiplies a @ b into out, unless a
+    # is None. The pool's work item keeps its arguments after the call, so
+    # popping leaves the calling thread to free every array and view a job
+    # holds. When worker threads made and dropped their own views, glibc's
+    # per-thread caches mixed small blocks into the calling thread's heap in
+    # a timing-dependent order, and the baseline's peak RSS read 70-82 MB
+    # from run to run.
     for dst, src, a, b, out in box.pop():
         if dst is not None:
             np.copyto(dst, src)
-        np.matmul(a, b, out=out)
+        if a is not None:
+            np.matmul(a, b, out=out)
 
 
-def _each_run(make_jobs, count):
+def _each_run(make_jobs, count, meanwhile=None):
     """_multiply the jobs make_jobs(r) for r < count: the last run on the
-    calling thread, the others on the pool. make_jobs runs on the calling
-    thread, which holds every run's jobs until all are done; re-raises any
-    error."""
+    calling thread and the others on the pool, or, given meanwhile, every
+    run on the pool while the calling thread calls meanwhile(). make_jobs
+    runs on the calling thread, which holds every run's jobs until all are
+    done; re-raises any error and returns what meanwhile returned."""
     global _pool
-    if count == 1:
+    if count == 1 and meanwhile is None:
         return _multiply([make_jobs(0)])
     if _pool is None:  # two first calls at once may each make one; both work
         _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="conv2d")
+    pooled = count if meanwhile else count - 1
     held, pending = [], []
-    for r in range(count - 1):
+    for r in range(pooled):
         held.append(make_jobs(r))
         pending.append(_pool.submit(_multiply, [held[-1]]))
     try:
-        _multiply([make_jobs(count - 1)])
+        result = meanwhile() if meanwhile else _multiply([make_jobs(count - 1)])
     finally:
-        wait(pending)
+        wait(pending)  # the pool may still read views an error would free
     for f in pending:
         f.result()
+    return result
 
 
 def _patches(x, k, stride, buf):
@@ -279,7 +288,8 @@ def conv2d(x, kernels, stride=1, padding=0):
 
     _each_run(forward_jobs, n_runs)
     # the last run ends on the last block, whose patches backward reuses
-    last_cols = bufs[-1][: last.stop - last.start]
+    kept = bufs[-1]
+    last_cols = kept[: last.stop - last.start]
     out = out.reshape(n, j, ho, wo)
     _tally(n * ho * wo * j * (2 * k * k * c + 1))
 
@@ -289,22 +299,35 @@ def conv2d(x, kernels, stride=1, padding=0):
     def vjp(g):
         go = g.reshape(n, j, ho * wo)
         grad_w = np.empty((n, j, c * k * k))
+
+        def grad_w_job(b, buf):
+            dst, src, cols = (None, None, last_cols) if b is last else _patches(xp[b], k, stride, buf)
+            return dst, src, go[b], cols.transpose(0, 2, 1), grad_w[b]
+
+        if needs_gx and n_runs > 1:
+            # One pool thread forms the kernel gradient while this thread
+            # forms gx; neither reads the other's result. The lane starts
+            # from the last block's patches, rebuilds every other block into
+            # the same kept buffer, and copies the last block's back, so it
+            # allocates nothing and a second vjp call reads them intact. The
+            # buffer fits every block: the last run holds ceil(n / runs)
+            # images, the most of any run, and its first block is its largest.
+            def lane_jobs(_):
+                others = [grad_w_job(b, kept) for run in runs for b in run if b is not last]
+                dst, src, _cols = _patches(xp[last], k, stride, kept)
+                return [grad_w_job(last, kept), *others, (dst, src, None, None, None)]
+
+            gx = _each_run(lane_jobs, 1, meanwhile=lambda: input_grad(g))
+            return gx, grad_w.sum(axis=0).reshape(kd.shape)
         # rebuild every block but the last into per-run buffers, all freed
         # before gx exists, so no rebuilt block is alive beside it
         bufs = _buffers(runs, (c * k * k, ho * wo), skip=last)
-
-        def kernel_grad_jobs(r):
-            jobs = []
-            for b in runs[r]:
-                dst, src, cols = (None, None, last_cols) if b is last else _patches(xp[b], k, stride, bufs[r])
-                jobs.append((dst, src, go[b], cols.transpose(0, 2, 1), grad_w[b]))
-            return jobs
-
-        _each_run(kernel_grad_jobs, n_runs)
+        _each_run(lambda r: [grad_w_job(b, bufs[r]) for b in runs[r]], n_runs)
         del bufs
         grad_w = grad_w.sum(axis=0).reshape(kd.shape)
-        if not needs_gx:
-            return None, grad_w
+        return (input_grad(g) if needs_gx else None), grad_w
+
+    def input_grad(g):
         # im2col's adjoint on flat padded planes, each padded to stride*q
         # entries: output (py, px) of offset (ki, kj) lands at
         # stride*(py*wp + px) + ki*wp + kj. With g widened to wp columns, each
@@ -339,7 +362,7 @@ def conv2d(x, kernels, stride=1, padding=0):
                     dest = gx_flat[ki * wp + kj :: stride]
                     dest += prod_flat[: dest.size]  # the cut tail is all zeros
         gx = gx[:, :, : hp * wp].reshape(n, c, hp, wp)
-        return gx[:, :, padding : hp - padding, padding : wp - padding], grad_w
+        return gx[:, :, padding : hp - padding, padding : wp - padding]
 
     return Tensor(out, parents=(x, kernels), vjp=vjp, op="conv2d")
 

@@ -37,6 +37,12 @@ class OptimState:
     lr_divisor: float = 2.0
     velocities: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr}")
+        if not self.lr_divisor > 0:
+            raise ValueError(f"lr_divisor must be > 0, got {self.lr_divisor}")
+
     def lr_at(self, epoch):
         hits = sum(1 for m in self.lr_milestones if epoch >= m)
         return self.lr / (self.lr_divisor**hits)
@@ -77,6 +83,11 @@ class TrainPlan:
     augment: AugmentSpec | None = None
     alternation_steps: int = 1  # mini-batches per network before switching
     freeze_tables: bool = False
+
+    def __post_init__(self):
+        for name in ("epochs", "alternation_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

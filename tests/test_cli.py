@@ -89,6 +89,22 @@ class TestTrain:
         assert "final test accuracy" not in out
         assert "test loss nan after epoch 1" in err
 
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (("--epochs", "0"), "epochs"),
+            (("--lr-milestones", "0", "--lr-divisor", "0"), "lr_divisor"),
+            (("--lr", "-1"), "lr"),
+        ],
+        ids=["epochs-0", "divisor-0", "negative-lr"],
+    )
+    def test_invalid_schedule_exits_2_naming_the_field(self, tmp_path, capsys, extra, field):
+        code, out, err = run(capsys, *train_args(tmp_path / "run", *extra))
+        assert code == 2
+        assert f"error: {field} must be" in err
+        assert "final test accuracy" not in out
+        assert not (tmp_path / "run" / "checkpoint.lvnc").exists()
+
     def test_missing_checkpoint_section_exits_2_naming_it(self, tmp_path, capsys):
         code, _, _ = run(capsys, *train_args(tmp_path / "run", "--epochs", "1"))
         assert code == 0

@@ -296,18 +296,20 @@ class TestConv2d:
         assert peak <= x.data.nbytes + 2**20, f"conv2d vjp peaked at {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize(
-        "x_shape,j,stride,padding",
+        "x_shape,j,stride,padding,needs_gx",
         [
-            ((7, 12, 32, 32), 8, 1, 0),
-            ((64, 8, 15, 15), 16, 1, 0),
-            ((1, 12, 32, 32), 8, 1, 0),
-            ((64, 5, 33, 31), 6, 2, 1),
+            ((7, 12, 32, 32), 8, 1, 0, True),
+            ((64, 8, 15, 15), 16, 1, 0, True),
+            ((1, 12, 32, 32), 8, 1, 0, True),
+            ((64, 5, 33, 31), 6, 2, 1, True),
+            ((7, 12, 32, 32), 8, 1, 0, False),
         ],
-        ids=["ragged-runs", "conv1", "one-image", "stride2-pad1"],
+        ids=["ragged-runs", "conv1", "one-image", "stride2-pad1", "ragged-runs-no-gx"],
     )
-    def test_same_bits_and_flops_for_every_worker_count(self, monkeypatch, x_shape, j, stride, padding):
+    def test_same_bits_and_flops_for_every_worker_count(self, monkeypatch, x_shape, j, stride, padding, needs_gx):
         # 3 workers is more than the runs of a one-block call and, for
-        # (7, 12, 32, 32) in blocks of 2 images, gives runs of 2, 2 and 2 + 1
+        # (7, 12, 32, 32) in blocks of 2 images, gives runs of 2, 2 and 2 + 1;
+        # an input that needs no gradient keeps the kernel gradient in runs
         rng = np.random.default_rng(79)
         x = rng.normal(size=x_shape)
         w = rng.normal(size=(j, x_shape[1], 3, 3))
@@ -316,12 +318,53 @@ class TestConv2d:
         for workers in (1, 2, 3):
             monkeypatch.setattr(gradcore, "_WORKERS", workers)
             with gradcore.count_flops() as counter:
-                out = conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=stride, padding=padding)
+                out = conv2d(Tensor(x, requires_grad=needs_gx), Tensor(w), stride=stride, padding=padding)
             g = rng.normal(size=out.data.shape) if g is None else g
             gx, gw = out.vjp(g)
-            results.append((out.data.tobytes(), gx.tobytes(), gw.tobytes(), counter.flops))
+            assert (gx is not None) == needs_gx
+            results.append((out.data.tobytes(), gx if gx is None else gx.tobytes(), gw.tobytes(), counter.flops))
         assert results[1] == results[0]
         assert results[2] == results[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_second_vjp_call_gives_the_same_bytes(self, monkeypatch, workers):
+        # backward reuses the last block's patches from the forward pass; the
+        # kernel-gradient lane rebuilds other blocks over them and must put
+        # them back
+        monkeypatch.setattr(gradcore, "_WORKERS", workers)
+        rng = np.random.default_rng(97)
+        x = Tensor(rng.normal(size=(7, 12, 32, 32)), requires_grad=True)
+        out = conv2d(x, Tensor(rng.normal(size=(8, 12, 3, 3))))
+        g = rng.normal(size=out.data.shape)
+        first = [a.tobytes() for a in out.vjp(g)]
+        assert [a.tobytes() for a in out.vjp(g)] == first
+
+    def test_lane_error_reaches_the_caller_and_the_pool_serves_on(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        x = rng.normal(size=(7, 12, 32, 32))
+        w = rng.normal(size=(8, 12, 3, 3))
+        g = rng.normal(size=(7, 8, 30, 30))
+
+        def call():
+            gx, gw = conv2d(Tensor(x, requires_grad=True), Tensor(w)).vjp(g)
+            return gx.tobytes() + gw.tobytes()
+
+        monkeypatch.setattr(gradcore, "_WORKERS", 1)
+        want = call()
+        monkeypatch.setattr(gradcore, "_WORKERS", 2)
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(w))
+        caller, multiply = threading.get_ident(), gradcore._multiply
+
+        def failing(box):
+            if threading.get_ident() != caller:
+                raise RuntimeError("lane failed")
+            multiply(box)
+
+        monkeypatch.setattr(gradcore, "_multiply", failing)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            out.vjp(g)
+        monkeypatch.setattr(gradcore, "_multiply", multiply)
+        assert call() == want
 
     def test_forward_peak_is_output_plus_one_block_per_worker(self, monkeypatch):
         # the calling thread allocates one patch buffer per run; the workers

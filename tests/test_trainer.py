@@ -122,6 +122,27 @@ class TestSgdStep:
         assert state.lr_at(4) == 0.1
 
 
+class TestPlanAndOptimValidation:
+    @pytest.mark.parametrize("field,value", [("epochs", 0), ("epochs", -1), ("alternation_steps", 0)])
+    def test_plan_rejects_counts_below_one(self, field, value):
+        # alternation_steps=0 once hung _alternating: no batch drawn, no net done
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            TrainPlan(**{"epochs": 1, field: value})
+
+    @pytest.mark.parametrize("divisor", [0.0, -2.0, float("nan")])
+    def test_optim_rejects_a_non_positive_divisor(self, divisor):
+        with pytest.raises(ValueError, match="lr_divisor must be > 0"):
+            OptimState(lr=0.1, lr_milestones=(0,), lr_divisor=divisor)
+
+    @pytest.mark.parametrize("lr", [-0.1, float("inf"), float("nan")])
+    def test_optim_rejects_a_negative_or_non_finite_rate(self, lr):
+        with pytest.raises(ValueError, match="lr must be a finite number >= 0"):
+            OptimState(lr=lr)
+
+    def test_zero_rate_stays_legal(self):
+        assert OptimState(lr=0.0).lr_at(3) == 0.0
+
+
 class TestTrainSingle:
     def test_zero_lr_leaves_parameters_unchanged(self):
         model, tables = tiny_setup()
